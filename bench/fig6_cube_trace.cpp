@@ -42,6 +42,11 @@ int main() {
   engine.add_observer(observer);
   engine.run_until(16);
 
+  // Appends, not `"N" + std::to_string(x)`: GCC 12's -Wrestrict misfires
+  // on the inlined operator+ in Release builds.
+  const auto node = [](sim::NodeKey x) {
+    return std::string("N").append(std::to_string(x));
+  };
   for (sim::Slot t = 9; t <= 11; ++t) {
     std::cout << "slot " << t << "  (pairing dimension " << t % k
               << "; every node consumes packet " << t - k << "):\n";
@@ -52,12 +57,12 @@ int main() {
     }
     for (sim::NodeKey v = 0; v <= n; ++v) {
       const auto it = by_sender.find(v);
-      std::string who = v == 0 ? "S" : "N" + std::to_string(v);
+      const std::string who = v == 0 ? "S" : node(v);
       if (it == by_sender.end()) {
         table.add_row({who, "-", "-"});
       } else {
         table.add_row({who, util::cell(it->second->tx.packet),
-                       "N" + std::to_string(it->second->tx.to)});
+                       node(it->second->tx.to)});
       }
     }
     table.print(std::cout);

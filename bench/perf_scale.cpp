@@ -18,7 +18,8 @@
 //
 // --max-n=K truncates the curve (CI smoke runs --max-n=100000 to stay
 // inside its wall-clock limit; the committed baseline covers the full
-// curve).
+// curve). --help prints the usage text and exits 0; any other unknown flag
+// exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -121,13 +122,18 @@ void emit_point(std::ostream& os, const Point& p) {
      << ", \"buffer_p99\": " << p.replay.summary.buffer.p99 << "}";
 }
 
+void usage(std::ostream& out) {
+  out << "usage: perf_scale [options] [OUT.json]\n"
+         "  --max-n=K   truncate the curve at N = K\n"
+         "  --help      print this text and exit\n"
+         "  OUT.json    report path (default BENCH_scale.json)\n";
+}
+
 }  // namespace
 }  // namespace streamcast
 
 int main(int argc, char** argv) {
   using namespace streamcast;
-  bench::banner("BENCH_scale",
-                "closed-form replay + scale recorder stack at N up to 10^6");
 
   std::string out_path = "BENCH_scale.json";
   sim::NodeKey max_n = std::numeric_limits<sim::NodeKey>::max();
@@ -135,10 +141,20 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--max-n=", 0) == 0) {
       max_n = static_cast<sim::NodeKey>(std::stoll(arg.substr(8)));
+    } else if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
+      return 0;
+    } else if (arg.starts_with('-')) {
+      std::cerr << "unknown option " << arg << "\n";
+      usage(std::cerr);
+      return 2;
     } else {
       out_path = arg;
     }
   }
+
+  bench::banner("BENCH_scale",
+                "closed-form replay + scale recorder stack at N up to 10^6");
 
   std::vector<Point> points;
   bool all_match = true;

@@ -20,6 +20,8 @@
 // the sharded QosReport is not byte-identical to the serial one, or — with
 // >= 4 shards on >= 4 hardware threads — if the single-run speedup falls
 // below 1.3x (the perf-mt CI gate).
+//
+// --help prints the usage text and exits 0; any other unknown flag exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -334,14 +336,20 @@ void emit_section(std::ostream& os, const std::string& name,
      << "  }";
 }
 
+void usage(std::ostream& out) {
+  out << "usage: perf_sweep [options] [OUT.json]\n"
+         "  --schemes=a,b   keep only grid tasks of these canonical schemes\n"
+         "  --shards        intra-run sharding benchmark instead of the grid\n"
+         "                  (default OUT: BENCH_shards.json)\n"
+         "  --help          print this text and exit\n"
+         "  OUT.json        report path (default BENCH_engine.json)\n";
+}
+
 }  // namespace
 }  // namespace streamcast
 
 int main(int argc, char** argv) {
   using namespace streamcast;
-  bench::banner("BENCH_engine",
-                "engine hot-path + parallel sweep runner throughput");
-
   std::string out_path;
   std::vector<Scheme> keep;
   bool shard_mode = false;
@@ -353,10 +361,19 @@ int main(int argc, char** argv) {
       keep = parse_scheme_filter(argv[++i]);
     } else if (arg == "--shards") {
       shard_mode = true;
+    } else if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
+      return 0;
+    } else if (arg.starts_with('-')) {
+      std::cerr << "unknown option " << arg << "\n";
+      usage(std::cerr);
+      return 2;
     } else {
       out_path = arg;
     }
   }
+  bench::banner("BENCH_engine",
+                "engine hot-path + parallel sweep runner throughput");
   if (shard_mode) {
     return run_shard_bench(out_path.empty() ? "BENCH_shards.json" : out_path);
   }

@@ -23,22 +23,33 @@ namespace {
 
 using namespace streamcast;
 
-void usage() {
-  std::cerr <<
-      "usage: streamcast_cli [options]\n"
-      "  --scheme S    a canonical registry name (multi-tree/greedy,\n"
-      "                multi-tree/structured, hypercube, hypercube/grouped,\n"
-      "                chain, single-tree) or a legacy alias (multitree,\n"
-      "                structured, grouped, singletree)\n"
-      "                                              (default multitree)\n"
-      "  --n N         receivers (per cluster)       (default 200)\n"
-      "  --d D         degree / source capacity      (default 2)\n"
-      "  --mode M      prerecorded | prebuffered | pipelined\n"
-      "  --clusters K  super-tree over K clusters    (default 1)\n"
-      "  --D x         backbone degree, K > 1 only   (default 3)\n"
-      "  --tc T        inter-cluster latency T_c     (default 10)\n"
-      "  --window W    measured packets (0 = auto)\n"
-      "  --csv         also print per-node delay CSV (single cluster)\n";
+void usage(std::ostream& out) {
+  out << "usage: streamcast_cli [options]\n"
+         "  --scheme S    a canonical registry name or a legacy alias\n"
+         "                (multitree, structured, grouped, singletree)\n"
+         "                                              (default multitree)\n"
+         "                canonical names:\n               ";
+  // Straight from the registry, so a new scheme is listed without edits.
+  std::size_t column = 15;
+  for (const scheme::Descriptor& d : scheme::all()) {
+    const std::size_t width = std::strlen(d.name) + 1;
+    if (column + width > 78) {
+      out << "\n               ";
+      column = 15;
+    }
+    out << ' ' << d.name;
+    column += width;
+  }
+  out << "\n"
+         "  --n N         receivers (per cluster)       (default 200)\n"
+         "  --d D         degree / source capacity      (default 2)\n"
+         "  --mode M      prerecorded | prebuffered | pipelined\n"
+         "  --clusters K  super-tree over K clusters    (default 1)\n"
+         "  --D x         backbone degree, K > 1 only   (default 3)\n"
+         "  --tc T        inter-cluster latency T_c     (default 10)\n"
+         "  --window W    measured packets (0 = auto)\n"
+         "  --csv         also print per-node delay CSV (single cluster)\n"
+         "  --help        print this text and exit\n";
 }
 
 }  // namespace
@@ -65,7 +76,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        usage();
+        usage(std::cerr);
         std::exit(1);
       }
       return argv[++i];
@@ -79,7 +90,7 @@ int main(int argc, char** argv) {
         try {
           cfg.scheme = core::parse_scheme(name);
         } catch (const std::invalid_argument&) {
-          usage();
+          usage(std::cerr);
           return 1;
         }
       }
@@ -90,7 +101,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--mode") {
       const auto it = modes.find(value());
       if (it == modes.end()) {
-        usage();
+        usage(std::cerr);
         return 1;
       }
       cfg.mode = it->second;
@@ -105,11 +116,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--csv") {
       csv = true;
     } else if (arg == "--help" || arg == "-h") {
-      usage();
+      usage(std::cout);
       return 0;
     } else {
       std::cerr << "unknown option " << arg << "\n";
-      usage();
+      usage(std::cerr);
       return 1;
     }
   }

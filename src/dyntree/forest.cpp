@@ -11,7 +11,19 @@ DynamicForest::DynamicForest(int d, std::uint64_t seed)
   if (d < 1) throw std::invalid_argument("dynamic-trees needs d >= 1");
   nodes_.push_back(Node{true, -1, {}});  // the source
   kids_.resize(static_cast<std::size_t>(d));
-  for (auto& tree : kids_) tree.emplace_back();  // source's child lists
+  index_.resize(static_cast<std::size_t>(d));
+  add_key(0);
+}
+
+void DynamicForest::add_key(NodeKey key) {
+  for (int k = 0; k < d_; ++k) {
+    kids_[static_cast<std::size_t>(k)].emplace_back();
+    auto& ix = index_[static_cast<std::size_t>(k)];
+    ix.depth.push_back(0);
+    ix.spare.push_back(0);
+    ix.leaf.push_back(false);
+    refresh(k, key);
+  }
 }
 
 bool DynamicForest::live(NodeKey key) const {
@@ -34,14 +46,8 @@ const std::vector<NodeKey>& DynamicForest::children(int tree,
 }
 
 int DynamicForest::depth(int tree, NodeKey key) const {
-  // Mid-leave(), a not-yet-reattached orphan's chain ends at kNoNode
-  // instead of the source; treat the detach point as the root then.
-  int hops = 0;
-  for (NodeKey at = key; at != 0 && at != sim::kNoNode;
-       at = parent(tree, at)) {
-    ++hops;
-  }
-  return hops;
+  return index_[static_cast<std::size_t>(tree)]
+      .depth[static_cast<std::size_t>(key)];
 }
 
 int DynamicForest::height(int tree) const {
@@ -59,13 +65,7 @@ int DynamicForest::seat_capacity(int tree, NodeKey key) const {
 }
 
 int DynamicForest::spare_seats(int tree) const {
-  int spares = 0;
-  for (NodeKey key = 0; key < key_end(); ++key) {
-    spares += std::max(
-        0, seat_capacity(tree, key) -
-               static_cast<int>(children(tree, key).size()));
-  }
-  return spares;
+  return index_[static_cast<std::size_t>(tree)].spare_total;
 }
 
 int DynamicForest::emergency_children() const {
@@ -76,51 +76,100 @@ int DynamicForest::emergency_children() const {
   return over;
 }
 
-bool DynamicForest::in_subtree(int tree, NodeKey key, NodeKey root) const {
-  if (root == sim::kNoNode) return false;
-  for (NodeKey at = key; at != sim::kNoNode; at = parent(tree, at)) {
-    if (at == root) return true;
-    if (at == 0) break;
-  }
-  return false;
-}
-
 NodeKey DynamicForest::shallowest_leaf(int tree, NodeKey exclude) {
-  int best_depth = std::numeric_limits<int>::max();
-  std::vector<NodeKey> best;
-  for (NodeKey key = 1; key < key_end(); ++key) {
-    if (!live(key) || internal_tree(key) == tree) continue;
-    if (parent(tree, key) == sim::kNoNode) continue;
-    if (in_subtree(tree, key, exclude)) continue;
-    const int dep = depth(tree, key);
-    if (dep < best_depth) {
-      best_depth = dep;
-      best.clear();
-    }
-    if (dep == best_depth) best.push_back(key);
-  }
-  if (best.empty()) return sim::kNoNode;
-  return best[static_cast<std::size_t>(prng_.below(best.size()))];
+  return draw(tree, /*leaves=*/true, exclude);
 }
 
 NodeKey DynamicForest::find_seat(int tree, NodeKey exclude) {
-  int best_depth = std::numeric_limits<int>::max();
-  std::vector<NodeKey> best;
-  for (NodeKey key = 0; key < key_end(); ++key) {
-    if (seat_capacity(tree, key) <=
-        static_cast<int>(children(tree, key).size())) {
-      continue;
+  return draw(tree, /*leaves=*/false, exclude);
+}
+
+NodeKey DynamicForest::draw(int tree, bool leaves, NodeKey exclude) {
+  const auto& ix = index_[static_cast<std::size_t>(tree)];
+  const DepthIndex& index = leaves ? ix.leaves : ix.seats;
+  auto level = index.begin();
+  if (level == index.end()) return sim::kNoNode;
+  // `exclude`'s subtree lies at depth(exclude) and below, so it only
+  // matters once the shallowest level is that deep. Then walk the subtree
+  // one depth layer at a time alongside the levels and stop at the first
+  // level it does not fill; `skipped` holds that level's excluded keys.
+  std::vector<NodeKey> skipped;
+  if (exclude != sim::kNoNode && level->first >= depth(tree, exclude)) {
+    std::vector<NodeKey> layer{exclude};
+    std::vector<NodeKey> next;
+    int layer_depth = depth(tree, exclude);
+    for (;; ++level) {
+      if (level == index.end()) return sim::kNoNode;
+      while (layer_depth < level->first && !layer.empty()) {
+        next.clear();
+        for (const NodeKey at : layer) {
+          const auto& kids = children(tree, at);
+          next.insert(next.end(), kids.begin(), kids.end());
+        }
+        layer.swap(next);
+        ++layer_depth;
+      }
+      skipped.clear();
+      if (layer_depth == level->first) {
+        for (const NodeKey at : layer) {
+          const auto i = static_cast<std::size_t>(at);
+          if (leaves ? ix.leaf[i] : ix.spare[i] > 0) skipped.push_back(at);
+        }
+      }
+      if (level->second.size() > skipped.size()) break;
     }
-    if (in_subtree(tree, key, exclude)) continue;
-    const int dep = depth(tree, key);
-    if (dep < best_depth) {
-      best_depth = dep;
-      best.clear();
-    }
-    if (dep == best_depth) best.push_back(key);
+    std::sort(skipped.begin(), skipped.end());
   }
-  if (best.empty()) return sim::kNoNode;
-  return best[static_cast<std::size_t>(prng_.below(best.size()))];
+  const KeySet& keys = level->second;
+  auto rank = static_cast<std::size_t>(
+      prng_.below(keys.size() - skipped.size()));
+  // Step over the excluded keys ranked at or before the draw.
+  for (const NodeKey key : skipped) {
+    if (keys.order_of_key(key) > rank) break;
+    ++rank;
+  }
+  return *keys.find_by_order(rank);
+}
+
+void DynamicForest::refresh(int tree, NodeKey key) {
+  auto& ix = index_[static_cast<std::size_t>(tree)];
+  const auto at = static_cast<std::size_t>(key);
+  const auto file = [&](DepthIndex& index, bool in) {
+    if (in) {
+      index[ix.depth[at]].insert(key);
+      return;
+    }
+    const auto level = index.find(ix.depth[at]);
+    level->second.erase(key);
+    if (level->second.empty()) index.erase(level);
+  };
+  if (ix.spare[at] > 0) file(ix.seats, false);
+  if (ix.leaf[at]) file(ix.leaves, false);
+  ix.spare_total -= ix.spare[at];
+
+  const NodeKey up = key == 0 ? sim::kNoNode : parent(tree, key);
+  ix.depth[at] = key == 0                              ? 0
+                 : up == 0 || up == sim::kNoNode       ? 1
+                 : ix.depth[static_cast<std::size_t>(up)] + 1;
+  ix.spare[at] = std::max(0, seat_capacity(tree, key) -
+                                 static_cast<int>(children(tree, key).size()));
+  ix.leaf[at] = key != 0 && live(key) && internal_tree(key) != tree &&
+                up != sim::kNoNode;
+
+  ix.spare_total += ix.spare[at];
+  if (ix.spare[at] > 0) file(ix.seats, true);
+  if (ix.leaf[at]) file(ix.leaves, true);
+}
+
+void DynamicForest::resettle(int tree, NodeKey root) {
+  std::vector<NodeKey> stack{root};
+  while (!stack.empty()) {
+    const NodeKey at = stack.back();
+    stack.pop_back();
+    refresh(tree, at);
+    const auto& kids = children(tree, at);
+    stack.insert(stack.end(), kids.begin(), kids.end());
+  }
 }
 
 void DynamicForest::attach(int tree, NodeKey key, NodeKey under) {
@@ -128,6 +177,8 @@ void DynamicForest::attach(int tree, NodeKey key, NodeKey under) {
       .push_back(key);
   nodes_[static_cast<std::size_t>(key)]
       .parent[static_cast<std::size_t>(tree)] = under;
+  refresh(tree, under);
+  resettle(tree, key);
 }
 
 void DynamicForest::detach(int tree, NodeKey key) {
@@ -138,6 +189,8 @@ void DynamicForest::detach(int tree, NodeKey key) {
       kids_[static_cast<std::size_t>(tree)][static_cast<std::size_t>(from)];
   siblings.erase(std::find(siblings.begin(), siblings.end(), key));
   node.parent[static_cast<std::size_t>(tree)] = sim::kNoNode;
+  refresh(tree, from);
+  resettle(tree, key);
 }
 
 NodeKey DynamicForest::join() {
@@ -160,7 +213,7 @@ NodeKey DynamicForest::join() {
   nodes_.push_back(Node{
       true, internal,
       std::vector<NodeKey>(static_cast<std::size_t>(d_), sim::kNoNode)});
-  for (auto& tree : kids_) tree.emplace_back();
+  add_key(key);
   for (int k = 0; k < d_; ++k) {
     // The joiner's fresh seats are visible here, but it cannot parent
     // itself, so a tree whose only spare seats are the joiner's own falls
@@ -215,6 +268,7 @@ void DynamicForest::leave(NodeKey key) {
     for (const NodeKey orphan : orphans) {
       nodes_[static_cast<std::size_t>(orphan)]
           .parent[static_cast<std::size_t>(k)] = sim::kNoNode;
+      resettle(k, orphan);
       NodeKey seat = find_seat(k, orphan);
       if (seat == sim::kNoNode) {
         seat = 0;

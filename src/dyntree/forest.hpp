@@ -22,12 +22,23 @@
 // seeded at construction, so a forest is a pure function of
 // (d, seed, operation sequence).
 //
+// Seat and leaf searches read per-tree indices kept in step with every link
+// change (depth-bucketed, key-ordered sets of open seats and of leaves, a
+// cached depth per key, a spare-seat total), so a join costs O(d log N)
+// rather than a whole-forest scan. A search draws from the same tie set, in
+// the same key order, as a scan over all keys would, so the PRNG draws and
+// the forest do not depend on the index (DESIGN.md §12).
+//
 // Unlike multitree::ChurnForest there is no structural-id relabeling: keys
 // are permanent, departed keys are never reused, and the engine's NodeKey
 // space simply grows with the peer history.
 #pragma once
 
 #include <cstdint>
+#include <ext/pb_ds/assoc_container.hpp>
+#include <ext/pb_ds/tree_policy.hpp>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "src/sim/packet.hpp"
@@ -79,7 +90,8 @@ class DynamicForest {
   /// Parent of `key` in `tree` (0 = source), or sim::kNoNode if detached.
   NodeKey parent(int tree, NodeKey key) const;
   const std::vector<NodeKey>& children(int tree, NodeKey key) const;
-  /// Hops from the source (source itself: 0).
+  /// Hops from the source (source itself: 0). Mid-leave(), a detached
+  /// orphan's subtree counts from its detach point (the orphan: 1).
   int depth(int tree, NodeKey key) const;
   int height(int tree) const;
   /// Spare child seats currently open in `tree` (source + internals).
@@ -96,21 +108,52 @@ class DynamicForest {
     std::vector<NodeKey> parent;  // per tree; kNoNode when detached
   };
 
+  /// Keys in ascending order with O(log n) rank and select.
+  using KeySet =
+      __gnu_pbds::tree<NodeKey, __gnu_pbds::null_type, std::less<NodeKey>,
+                       __gnu_pbds::rb_tree_tag,
+                       __gnu_pbds::tree_order_statistics_node_update>;
+  /// Depth -> the keys at that depth; empty depths are erased.
+  using DepthIndex = std::map<int, KeySet>;
+
+  /// Incremental per-tree state, kept equal to what a scan of the tree
+  /// would compute (DESIGN.md §12). Entries are by key.
+  struct TreeIndex {
+    std::vector<int> depth;      // depth(tree, key)
+    std::vector<int> spare;      // max(0, seat capacity - children)
+    std::vector<bool> leaf;      // live, leaf of this tree, attached
+    DepthIndex seats;            // keys with spare > 0
+    DepthIndex leaves;           // keys with leaf set
+    int spare_total = 0;
+  };
+
   int seat_capacity(int tree, NodeKey key) const;
-  bool in_subtree(int tree, NodeKey key, NodeKey root) const;
   /// Minimum-depth node with a spare seat in `tree`, excluding `exclude`'s
   /// subtree (pass kNoNode to exclude nothing); kNoNode if the tree is full.
   NodeKey find_seat(int tree, NodeKey exclude);
   /// Minimum-depth attached node that is a leaf of `tree` (internal
   /// elsewhere), outside `exclude`'s subtree; kNoNode if none.
   NodeKey shallowest_leaf(int tree, NodeKey exclude);
+  /// Seeded uniform draw from the shallowest indexed leaves (or seats) of
+  /// `tree` outside `exclude`'s subtree, in ascending key order — the tie
+  /// set a scan over all keys would collect.
+  NodeKey draw(int tree, bool leaves, NodeKey exclude);
   void attach(int tree, NodeKey key, NodeKey under);
   void detach(int tree, NodeKey key);
+  /// Grows every tree's child lists and index by one key (the next one,
+  /// just pushed onto nodes_) and files it.
+  void add_key(NodeKey key);
+  /// Re-derives `key`'s depth, spare seats and leaf status in `tree` from
+  /// its parent's depth and its own links, and re-files it in the index.
+  void refresh(int tree, NodeKey key);
+  /// refresh() over `root`'s whole subtree, parents before children.
+  void resettle(int tree, NodeKey root);
 
   int d_;
   util::Prng prng_;
   std::vector<Node> nodes_;                            // by key; [0]=source
   std::vector<std::vector<std::vector<NodeKey>>> kids_;  // [tree][key]
+  std::vector<TreeIndex> index_;                       // [tree]
   NodeKey live_count_ = 0;
   ForestStats stats_;
 };

@@ -1,6 +1,5 @@
 #include "src/multitree/greedy.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <vector>
 
@@ -11,6 +10,13 @@ namespace streamcast::multitree {
 namespace {
 
 /// Ascending ids of one parity class with a consume-from-front cursor.
+///
+/// Every caller's `usable` predicate is monotone over the pool's lifetime:
+/// an id that fails it once fails it for good (`placed` / `is_interior`
+/// only ever turn true). So the cursor skips every leading id that is
+/// taken or unusable, never to look at it again, and the first id it stops
+/// on is the smallest usable one. Each id is passed once per pool: O(size)
+/// for all takes together (DESIGN.md §5).
 class ParityPool {
  public:
   ParityPool(int d, NodeKey first, NodeKey last) {
@@ -21,26 +27,19 @@ class ParityPool {
     }
   }
 
-  /// Smallest unused id with the given parity that passes `usable`;
-  /// marks it used. Throws if exhausted (cannot happen; see counts proof in
+  /// Smallest not-yet-taken id with the given parity that passes `usable`;
+  /// takes it. Throws if exhausted (cannot happen; see counts proof in
   /// build_greedy).
   template <typename Pred>
   NodeKey take(int parity, Pred usable) {
-    auto& bucket = buckets_[static_cast<std::size_t>(parity)];
+    const auto& bucket = buckets_[static_cast<std::size_t>(parity)];
     auto& cur = cursor_[static_cast<std::size_t>(parity)];
-    // Skip-ahead search; ids consumed by a previous tree stay skipped via
-    // the predicate, so the cursor can only advance.
-    for (std::size_t i = cur; i < bucket.size(); ++i) {
-      if (bucket[i] != -1 && usable(bucket[i])) {
-        const NodeKey id = bucket[i];
-        bucket[i] = -1;
-        if (i == cur) {
-          while (cur < bucket.size() && bucket[cur] == -1) ++cur;
-        }
-        return id;
-      }
+    while (cur < bucket.size() && !usable(bucket[cur])) ++cur;
+    if (cur == bucket.size()) {
+      throw std::logic_error(
+          "greedy construction ran out of parity candidates");
     }
-    throw std::logic_error("greedy construction ran out of parity candidates");
+    return bucket[cur++];
   }
 
  private:

@@ -25,24 +25,18 @@ SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
     if (n < 1) {
       throw std::invalid_argument("every cluster needs >= 1 receiver");
     }
-    ClusterState state{
-        .forest = multitree::build_greedy(n, topology.small_d()),
-        .intra = nullptr,
-        .super_received = -1,
-        .super_forwarded = -1,
-        .root_received = -1};
-    clusters_.push_back(std::move(state));
-    auto& slot = clusters_.back();
+    auto& slot = clusters_.emplace_back();
     const std::size_t index = clusters_.size() - 1;
 
     if (scheme == IntraScheme::kMultiTree) {
+      slot.forest.emplace(multitree::build_greedy(n, topology.small_d()));
       std::vector<sim::NodeKey> key_map(static_cast<std::size_t>(n) + 1);
       key_map[0] = topology.local_root(c);
       for (NodeKey x = 1; x <= n; ++x) {
         key_map[static_cast<std::size_t>(x)] = topology.receiver(c, x);
       }
       slot.intra = std::make_unique<multitree::MultiTreeProtocol>(
-          slot.forest, mode,
+          *slot.forest, mode,
           // S'_i may relay packet p in slot t once the backbone delivered
           // it in some earlier slot. `this` and clusters_ outlive intra.
           [this, index](PacketId p, Slot) {
@@ -68,7 +62,12 @@ SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
 
 const multitree::Forest& SuperTreeProtocol::forest(int cluster) const {
   assert(cluster >= lo_ && cluster < hi_);
-  return clusters_[static_cast<std::size_t>(cluster - lo_)].forest;
+  const auto& forest =
+      clusters_[static_cast<std::size_t>(cluster - lo_)].forest;
+  if (!forest) {
+    throw std::logic_error("hypercube clusters have no multi-tree forest");
+  }
+  return *forest;
 }
 
 void SuperTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/hypercube/protocol.hpp"
@@ -61,13 +62,14 @@ class SuperTreeProtocol final : public sim::Protocol {
   void deliver(Slot t, const Tx& tx) override;
 
   const Backbone& backbone() const { return backbone_; }
-  /// The cluster's forest (meaningful for kMultiTree; built either way).
-  /// `cluster` must lie in the owned range.
+  /// The cluster's greedy forest. Only kMultiTree clusters build one; for
+  /// hypercube clusters this throws std::logic_error. `cluster` must lie in
+  /// the owned range.
   const multitree::Forest& forest(int cluster) const;
 
  private:
   struct ClusterState {
-    multitree::Forest forest;
+    std::optional<multitree::Forest> forest;  // kMultiTree clusters only
     std::unique_ptr<sim::Protocol> intra;
     PacketId super_received = -1;   // newest packet at S_i (in order)
     PacketId super_forwarded = -1;  // newest packet S_i pushed downstream

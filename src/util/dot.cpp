@@ -45,7 +45,12 @@ std::string forest_to_dot(const std::string& name,
     out << "  subgraph cluster_T" << k << " {\n    label=\"T_" << k
         << "\";\n";
     std::ostringstream inner;
-    emit_edges(inner, parents[k], label, "t" + std::to_string(k) + "_");
+    // Built by appends: GCC 12's -Wrestrict misfires on the inlined
+    // `"t" + std::to_string(k) + "_"` at -O3.
+    std::string prefix = "t";
+    prefix += std::to_string(k);
+    prefix += '_';
+    emit_edges(inner, parents[k], label, prefix);
     // Indent the subgraph body for readability.
     std::istringstream lines(inner.str());
     std::string line;

@@ -4,6 +4,7 @@
 
 #include "src/metrics/delay.hpp"
 #include "src/multitree/analysis.hpp"
+#include "src/multitree/validate.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
 #include "src/supertree/analysis.hpp"
@@ -205,6 +206,18 @@ TEST(SuperTree, HeterogeneousClusterSizes) {
       // at depth 1, rest depth 2).
       EXPECT_LE(*a, structural_bound(5, 3, 6, 1, 2, n)) << "cluster " << c;
     }
+  }
+}
+
+TEST(SuperTree, OnlyMultiTreeClustersBuildAForest) {
+  std::vector<net::ClusteredTopology::ClusterSpec> specs{{30}, {5}, {17}};
+  net::ClusteredTopology topo(specs, 3, 2, /*t_c=*/6);
+  const SuperTreeProtocol multi(topo);
+  const SuperTreeProtocol cubes(topo, IntraScheme::kHypercube);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(multi.forest(c).n(), topo.cluster_receivers(c));
+    EXPECT_TRUE(multitree::validate_forest(multi.forest(c)).ok);
+    EXPECT_THROW(static_cast<void>(cubes.forest(c)), std::logic_error);
   }
 }
 

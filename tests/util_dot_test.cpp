@@ -6,7 +6,11 @@ namespace streamcast::util {
 namespace {
 
 const std::vector<int> kTree{-1, 0, 0, 1};  // 0 -> {1,2}, 1 -> {3}
-const auto kLabel = [](int i) { return "n" + std::to_string(i); };
+// Appends, not `"n" + std::to_string(i)`: GCC 12's -Wrestrict misfires on
+// the inlined operator+ in Release builds.
+const auto kLabel = [](int i) {
+  return std::string("n").append(std::to_string(i));
+};
 
 TEST(Dot, TreeStructure) {
   const std::string dot = tree_to_dot("demo", kTree, kLabel);
