@@ -13,6 +13,7 @@
 #include "bench/bench_util.hpp"
 #include "src/dyntree/protocol.hpp"
 #include "src/dyntree/qos.hpp"
+#include "src/loss/recovery.hpp"
 #include "src/metrics/summary.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/churn.hpp"

@@ -23,8 +23,9 @@
 // play back with zero undecodable packets — and at least one cell of the
 // grid must land in that region, so the guarantee is actually exercised.
 //
-// --smoke shrinks the grid (fewer burst levels, smaller chain) for the
-// sanitized CI job.
+// --smoke shrinks the grid (fewer burst levels, smaller chain) for the CI
+// jobs. --help prints the usage text and exits 0; any other unknown flag
+// exits 2 before a run starts.
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -92,23 +93,37 @@ void write_json(const std::string& path, const std::vector<Cell>& cells) {
   out << "  ]\n}\n";
 }
 
+void usage(std::ostream& out) {
+  out << "usage: throughput_smoothness [options] [OUT.json]\n"
+         "  --smoke   reduced grid (2 burst levels, 8-node chain)\n"
+         "  --help    print this text and exit\n"
+         "  OUT.json  frontier report path "
+         "(default throughput_smoothness.json)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::banner("throughput/smoothness frontier",
-                "recovery policy x startup policy x GE burstiness "
-                "(Joshi–Kochman–Wornell tradeoff, chain overlay)");
-
   bool smoke = false;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (!arg.empty() && arg[0] != '-') {
+    } else if (arg == "--help" || arg == "-h") {
+      usage(std::cout);
+      return 0;
+    } else if (arg.starts_with('-')) {
+      std::cerr << "unknown option " << arg << "\n";
+      usage(std::cerr);
+      return 2;
+    } else {
       out_path = arg;
     }
   }
+  bench::banner("throughput/smoothness frontier",
+                "recovery policy x startup policy x GE burstiness "
+                "(Joshi–Kochman–Wornell tradeoff, chain overlay)");
   if (out_path.empty()) out_path = "throughput_smoothness.json";
 
   // The first level is mild (~0.3% stationary loss: isolated erasures far

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "src/dyntree/forest.hpp"
-#include "src/loss/recovery.hpp"
+#include "src/loss/sequence_tracker.hpp"
 #include "src/sim/protocol.hpp"
 
 namespace streamcast::dyntree {

@@ -1,6 +1,8 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/loss/recovery.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -17,29 +19,6 @@ std::uint64_t flight_key(NodeKey to, PacketId p) {
 
 }  // namespace
 
-void SequenceTracker::mark(PacketId p) {
-  if (p < next_) return;
-  if (p == next_) {
-    ++next_;
-    while (!ahead_.empty() && *ahead_.begin() == next_) {
-      ahead_.erase(ahead_.begin());
-      ++next_;
-    }
-    return;
-  }
-  ahead_.insert(p);
-}
-
-void SequenceTracker::start_at(PacketId p) {
-  if (p <= next_) return;
-  next_ = p;
-  ahead_.erase(ahead_.begin(), ahead_.lower_bound(next_));
-  while (!ahead_.empty() && *ahead_.begin() == next_) {
-    ahead_.erase(ahead_.begin());
-    ++next_;
-  }
-}
-
 RecoveryProtocol::RecoveryProtocol(const net::Topology& topology,
                                    sim::Protocol& inner,
                                    RecoveryOptions options)
@@ -47,6 +26,7 @@ RecoveryProtocol::RecoveryProtocol(const net::Topology& topology,
   const auto n = static_cast<std::size_t>(topology_.size());
   trackers_.resize(n);
   senders_seen_.resize(n);
+  gates_.resize(n);
   send_used_.resize(n);
   if (options_.fec_window < 1) options_.fec_window = 1;
 
@@ -85,8 +65,8 @@ PacketId RecoveryProtocol::gap_free_prefix(NodeKey node) const {
   return trackers_[static_cast<std::size_t>(node)].gap_free_prefix();
 }
 
-const std::set<PacketId>& RecoveryProtocol::ahead(NodeKey node) const {
-  return trackers_[static_cast<std::size_t>(node)].ahead();
+const SequenceTracker& RecoveryProtocol::tracker(NodeKey node) const {
+  return trackers_[static_cast<std::size_t>(node)];
 }
 
 bool RecoveryProtocol::in_flight(NodeKey to, PacketId p) const {
@@ -101,29 +81,57 @@ void RecoveryProtocol::set_in_flight(NodeKey to, PacketId p, bool value) {
   }
 }
 
+RecoveryProtocol::Substream* RecoveryProtocol::find_substream(
+    Gate& gate, std::int32_t tag) {
+  for (Substream& sub : gate.subs) {
+    if (sub.tag == tag) return &sub;
+  }
+  return nullptr;
+}
+
+RecoveryProtocol::Substream* RecoveryProtocol::retire_gap(Gate& gate,
+                                                          PacketId p) {
+  if (gate.open == 0) return nullptr;
+  for (Substream& sub : gate.subs) {
+    const auto it = std::ranges::lower_bound(sub.open, p);
+    if (it == sub.open.end() || *it != p) continue;
+    sub.open.erase(it);
+    --gate.open;
+    return &sub;
+  }
+  return nullptr;
+}
+
 void RecoveryProtocol::mark_outstanding(NodeKey to, std::int32_t tag,
                                         PacketId p) {
   if (trackers_[static_cast<std::size_t>(to)].has(p)) return;
-  const auto key = std::make_pair(to, p);
-  if (outstanding_tag_.contains(key)) return;
-  outstanding_tag_[key] = tag;
-  outstanding_[{to, tag}].insert(p);
+  Gate& gate = gates_[static_cast<std::size_t>(to)];
+  for (const Substream& sub : gate.subs) {
+    if (std::ranges::binary_search(sub.open, p)) return;  // already a gap
+  }
+  Substream* sub = find_substream(gate, tag);
+  if (sub == nullptr) {
+    gate.subs.push_back(Substream{.tag = tag});
+    sub = &gate.subs.back();
+  }
+  sub->open.insert(std::ranges::lower_bound(sub->open, p), p);
+  ++gate.open;
 }
 
 void RecoveryProtocol::abandon_gap(Slot t, NodeKey to, PacketId p) {
   abandoned_.insert(flight_key(to, p));
-  const auto out_it = outstanding_tag_.find({to, p});
-  if (out_it == outstanding_tag_.end()) return;
-  const std::int32_t tag = out_it->second;
-  auto& set = outstanding_[{to, tag}];
-  set.erase(p);
-  if (set.empty()) outstanding_.erase({to, tag});
-  outstanding_tag_.erase(out_it);
+  Substream* sub = retire_gap(gates_[static_cast<std::size_t>(to)], p);
+  if (sub == nullptr) return;
   // The packet itself is never delivered — the continuity metrics report it
   // as an undecodable gap — but whatever it was holding back flows again.
-  flush_held_back(t, to, tag);
+  flush_held_back(t, *sub);
 }
 
+bool RecoveryProtocol::abandoned(NodeKey node, PacketId p) const {
+  return abandoned_.contains(flight_key(node, p));
+}
+
+// lint: allow(hot-path-alloc) — returns a borrowed reference
 const std::vector<NodeKey>& RecoveryProtocol::senders_seen(NodeKey to) const {
   return senders_seen_[static_cast<std::size_t>(to)];
 }
@@ -138,22 +146,52 @@ void RecoveryProtocol::use_send(NodeKey from) {
 }
 
 bool RecoveryProtocol::recv_headroom(Slot arrive, NodeKey to) const {
-  const auto it = planned_recv_.find(arrive);
-  const int used =
-      it == planned_recv_.end() ? 0 : it->second[static_cast<std::size_t>(to)];
+  const auto depth = planned_slot_.size();
+  int used = 0;
+  if (depth > 0) {
+    const std::size_t row = static_cast<std::size_t>(arrive) & (depth - 1);
+    if (planned_slot_[row] == arrive) {
+      used = planned_recv_[row * static_cast<std::size_t>(topology_.size()) +
+                           static_cast<std::size_t>(to)];
+    }
+  }
   return used < topology_.recv_capacity(to);
 }
 
 void RecoveryProtocol::note_planned_arrival(Slot arrive, NodeKey to) {
-  auto it = planned_recv_.find(arrive);
-  if (it == planned_recv_.end()) {
-    it = planned_recv_
-             .emplace(arrive,
-                      std::vector<int>(
-                          static_cast<std::size_t>(topology_.size()), 0))
-             .first;
+  assert(arrive >= now_);
+  if (arrive - now_ >= static_cast<Slot>(planned_slot_.size())) {
+    grow_planned(arrive - now_ + 1);
   }
-  ++it->second[static_cast<std::size_t>(to)];
+  const auto n = static_cast<std::size_t>(topology_.size());
+  const std::size_t row =
+      static_cast<std::size_t>(arrive) & (planned_slot_.size() - 1);
+  if (planned_slot_[row] != arrive) {
+    // The row last counted a slot already past: recycle it.
+    planned_slot_[row] = arrive;
+    std::fill_n(planned_recv_.begin() + static_cast<std::ptrdiff_t>(row * n),
+                n, 0);
+  }
+  ++planned_recv_[row * n + static_cast<std::size_t>(to)];
+}
+
+void RecoveryProtocol::grow_planned(Slot span) {
+  const auto n = static_cast<std::size_t>(topology_.size());
+  const std::size_t depth = std::bit_ceil(static_cast<std::size_t>(span));
+  // lint: allow(hot-path-alloc) — grows to the longest latency, then never
+  std::vector<Slot> slots(depth, -1);
+  // lint: allow(hot-path-alloc) — grows with the ring above
+  std::vector<int> counts(depth * n, 0);
+  for (std::size_t old = 0; old < planned_slot_.size(); ++old) {
+    const Slot s = planned_slot_[old];
+    if (s < now_) continue;  // a past slot: nothing left to plan there
+    const std::size_t row = static_cast<std::size_t>(s) & (depth - 1);
+    slots[row] = s;
+    std::copy_n(planned_recv_.begin() + static_cast<std::ptrdiff_t>(old * n),
+                n, counts.begin() + static_cast<std::ptrdiff_t>(row * n));
+  }
+  planned_slot_ = std::move(slots);
+  planned_recv_ = std::move(counts);
 }
 
 void RecoveryProtocol::ingest_decoded(Slot t, const Tx& tx) {
@@ -166,13 +204,12 @@ void RecoveryProtocol::seat(NodeKey node, PacketId live_edge) {
   trackers_[static_cast<std::size_t>(node)].start_at(live_edge);
 }
 
+// lint: allow(hot-path-alloc) — `out` is the engine's borrowed buffer
 void RecoveryProtocol::transmit(Slot t, std::vector<Tx>& out) {
   inner_scratch_.clear();
   inner_.transmit(t, inner_scratch_);
   std::ranges::fill(send_used_, 0);
-  while (!planned_recv_.empty() && planned_recv_.begin()->first < t) {
-    planned_recv_.erase(planned_recv_.begin());
-  }
+  now_ = t;
 
   for (const Tx& tx : inner_scratch_) {
     assert(tx.packet < sim::kControlIdBase);
@@ -219,50 +256,48 @@ void RecoveryProtocol::ingest_data(Slot t, const Tx& tx) {
   trackers_[static_cast<std::size_t>(to)].mark(tx.packet);
   set_in_flight(to, tx.packet, false);
   policy_->on_data_ingested(*this, t, tx);
+  Gate& gate = gates_[static_cast<std::size_t>(to)];
+  if (gate.open == 0) {
+    // No open gap at this receiver, hence nothing held back either.
+    inner_.deliver(t, tx);
+    return;
+  }
   // If this packet was a known gap, retire it from the in-order gate (the
   // release below plus the flush unblocks everything it was holding back).
-  std::int32_t tag = tx.tag;
-  const auto out_it = outstanding_tag_.find({to, tx.packet});
-  if (out_it != outstanding_tag_.end()) {
-    tag = out_it->second;
-    auto& set = outstanding_[{to, tag}];
-    set.erase(tx.packet);
-    if (set.empty()) outstanding_.erase({to, tag});
-    outstanding_tag_.erase(out_it);
-  }
+  // A retired gap releases into the substream that registered it.
+  Substream* retired = retire_gap(gate, tx.packet);
+  Substream* sub =
+      retired != nullptr ? retired : find_substream(gate, tx.tag);
   Tx release = tx;
-  release.tag = tag;
-  release_in_order(t, release);
-  flush_held_back(t, to, tag);
+  if (retired != nullptr) release.tag = retired->tag;
+  release_in_order(t, sub, release);
+  if (sub != nullptr) flush_held_back(t, *sub);
 }
 
-void RecoveryProtocol::release_in_order(Slot t, const Tx& tx) {
-  const auto it = outstanding_.find({tx.to, tx.tag});
-  if (it != outstanding_.end() && !it->second.empty() &&
-      *it->second.begin() < tx.packet) {
-    held_back_[{tx.to, tx.tag}].emplace(tx.packet, tx);
+void RecoveryProtocol::release_in_order(Slot t, Substream* sub,
+                                        const Tx& tx) {
+  if (sub != nullptr && !sub->open.empty() && sub->open.front() < tx.packet) {
+    const auto it = std::ranges::lower_bound(sub->held, tx.packet, {},
+                                             &Tx::packet);
+    if (it == sub->held.end() || it->packet != tx.packet) {
+      sub->held.insert(it, tx);
+    }
     return;
   }
   inner_.deliver(t, tx);
 }
 
-void RecoveryProtocol::flush_held_back(Slot t, NodeKey to, std::int32_t tag) {
-  const auto key = std::make_pair(to, tag);
-  const auto held_it = held_back_.find(key);
-  if (held_it == held_back_.end()) return;
-  auto& held = held_it->second;
-  while (!held.empty()) {
-    const auto out_it = outstanding_.find(key);
-    const PacketId next = held.begin()->first;
-    if (out_it != outstanding_.end() && !out_it->second.empty() &&
-        *out_it->second.begin() < next) {
-      break;  // an older gap is still open
-    }
-    const Tx tx = held.begin()->second;
-    held.erase(held.begin());
+void RecoveryProtocol::flush_held_back(Slot t, Substream& sub) {
+  // Release the held arrivals older than the substream's oldest open gap,
+  // in packet order; the rest keep waiting.
+  std::size_t released = 0;
+  for (const Tx& tx : sub.held) {
+    if (!sub.open.empty() && sub.open.front() < tx.packet) break;
     inner_.deliver(t, tx);
+    ++released;
   }
-  if (held.empty()) held_back_.erase(held_it);
+  sub.held.erase(sub.held.begin(),
+                 sub.held.begin() + static_cast<std::ptrdiff_t>(released));
 }
 
 void RecoveryProtocol::on_delivery(const sim::Delivery& d) {
@@ -297,7 +332,7 @@ bool RecoveryProtocol::gaps_resolved(NodeKey from, NodeKey to,
   for (NodeKey n = from; n <= to; ++n) {
     const auto& tracker = trackers_[static_cast<std::size_t>(n)];
     for (PacketId p = tracker.gap_free_prefix(); p < window; ++p) {
-      if (!tracker.has(p) && !abandoned_.contains(flight_key(n, p))) {
+      if (!tracker.has(p) && !abandoned(n, p)) {
         return false;
       }
     }

@@ -6,10 +6,10 @@
 // twice). RecoveryProtocol sits between the engine and the wrapped protocol
 // and restores correctness generically:
 //
-//  * Sequence tracking — per node, the gap-free prefix plus the set of
-//    packets received ahead of it (SequenceTracker). This is both the repair
-//    trigger and the acceptance criterion ("every node eventually holds a
-//    gap-free prefix").
+//  * Sequence tracking — per node, the gap-free prefix plus a bitmap of the
+//    packets received ahead of it (SequenceTracker, sequence_tracker.hpp).
+//    This is both the repair trigger and the acceptance criterion ("every
+//    node eventually holds a gap-free prefix").
 //  * Causality enforcement — a transmission of a packet the sender does not
 //    hold is suppressed (the lossless schedule assumed it had arrived), as
 //    is a transmission the receiver already holds or that is already in
@@ -17,7 +17,9 @@
 //  * In-order hand-off — deliveries are released to the wrapped protocol in
 //    packet order per (receiver, tag) substream, holding back arrivals that
 //    overtook a known-lost packet. The schemes' in-order invariants
-//    (multi-tree congruence) therefore hold verbatim under loss.
+//    (multi-tree congruence) therefore hold verbatim under loss. The gate is
+//    flat per-receiver state: a delivery to a receiver with no open gap is
+//    handed straight through.
 //
 // The repair *strategy* — what to do about a detected gap — is a
 // policy::RecoveryPolicy looked up in the policy registry
@@ -34,13 +36,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "src/loss/sequence_tracker.hpp"
 #include "src/net/topology.hpp"
 #include "src/policy/recovery.hpp"
 #include "src/sim/engine.hpp"
@@ -99,34 +100,6 @@ struct RecoveryOptions {
   NodeKey source = 0;
   /// Badr–Lui–Khisti code parameters (streaming-code).
   policy::StreamingCodeOptions code{};
-};
-
-/// Per-node expected-vs-delivered sequence state: the gap-free prefix
-/// [0, next) plus everything received ahead of it.
-class SequenceTracker {
- public:
-  /// Records receipt of packet p (idempotent).
-  void mark(PacketId p);
-
-  /// Floors the expectation at packet p: ids below p are no longer part of
-  /// this node's stream (a churn joiner seated at the live edge is not in
-  /// debt for pre-join history). No-op when the prefix already passed p.
-  void start_at(PacketId p);
-
-  bool has(PacketId p) const {
-    return p < next_ || ahead_.contains(p);
-  }
-
-  /// First packet id not yet received: the stream prefix [0, prefix) is
-  /// complete and gap-free.
-  PacketId gap_free_prefix() const { return next_; }
-
-  /// Ids received ahead of the prefix (the current gaps' far side).
-  const std::set<PacketId>& ahead() const { return ahead_; }
-
- private:
-  PacketId next_ = 0;
-  std::set<PacketId> ahead_;
 };
 
 class RecoveryProtocol final : public sim::Protocol,
@@ -189,11 +162,12 @@ class RecoveryProtocol final : public sim::Protocol,
   bool holds(NodeKey node, PacketId p) const override;
   bool has_arrived(NodeKey node, PacketId p) const override;
   PacketId gap_free_prefix(NodeKey node) const override;
-  const std::set<PacketId>& ahead(NodeKey node) const override;
+  const SequenceTracker& tracker(NodeKey node) const override;
   bool in_flight(NodeKey to, PacketId p) const override;
   void set_in_flight(NodeKey to, PacketId p, bool value) override;
   void mark_outstanding(NodeKey to, std::int32_t tag, PacketId p) override;
   void abandon_gap(Slot t, NodeKey to, PacketId p) override;
+  bool abandoned(NodeKey node, PacketId p) const override;
   const std::vector<NodeKey>& senders_seen(NodeKey to) const override;
   bool send_available(NodeKey from) const override;
   void use_send(NodeKey from) override;
@@ -207,8 +181,35 @@ class RecoveryProtocol final : public sim::Protocol,
   /// tracker update, policy bookkeeping, in-order release into the inner
   /// protocol.
   void ingest_data(Slot t, const Tx& tx);
-  void release_in_order(Slot t, const Tx& tx);
-  void flush_held_back(Slot t, NodeKey to, std::int32_t tag);
+
+  /// One (receiver, tag) substream of the in-order gate.
+  struct Substream {
+    std::int32_t tag = 0;
+    /// Known gaps, ascending: arrivals past open.front() are held back.
+    std::vector<PacketId> open{};
+    /// Arrivals held back behind an open gap, ascending by packet id.
+    std::vector<Tx> held{};
+  };
+  /// A receiver's gate: its substreams (few — one per tag it was ever
+  /// gapped on) and the number of open gaps across them. Held arrivals
+  /// exist only behind an open gap, so `open == 0` means nothing to do.
+  struct Gate {
+    std::vector<Substream> subs{};
+    std::int64_t open = 0;
+  };
+
+  static Substream* find_substream(Gate& gate, std::int32_t tag);
+  /// Removes p from whichever substream holds it as an open gap and
+  /// returns that substream, or nullptr when p is not a known gap.
+  static Substream* retire_gap(Gate& gate, PacketId p);
+  /// Hands tx to the wrapped protocol, or holds it back in `sub` (tx's
+  /// substream, if the receiver has one) behind an older open gap.
+  void release_in_order(Slot t, Substream* sub, const Tx& tx);
+  void flush_held_back(Slot t, Substream& sub);
+
+  /// Re-lays the planned-arrival ring out at a depth of at least `span`
+  /// slots, keeping the rows of the current and later slots.
+  void grow_planned(Slot span);
 
   const net::Topology& topology_;
   sim::Protocol& inner_;
@@ -223,15 +224,16 @@ class RecoveryProtocol final : public sim::Protocol,
   std::unordered_set<std::uint64_t> in_flight_;     // (to, packet) keys
   std::unordered_set<std::uint64_t> abandoned_;     // (to, packet) keys
 
-  // In-order release state, per (receiver, tag) substream.
-  std::map<std::pair<NodeKey, std::int32_t>, std::set<PacketId>> outstanding_;
-  std::map<std::pair<NodeKey, PacketId>, std::int32_t> outstanding_tag_;
-  std::map<std::pair<NodeKey, std::int32_t>, std::map<PacketId, Tx>>
-      held_back_;
+  std::vector<Gate> gates_;  // in-order release state, per receiver
 
   // Per-slot capacity accounting (residual capacity for repairs/parity).
   std::vector<int> send_used_;
-  std::map<Slot, std::vector<int>> planned_recv_;
+  // Planned arrivals per (slot, node) for the slots still ahead: a ring of
+  // rows, one per arrival slot, as deep as the longest latency seen (an
+  // arrival is planned at most latency - 1 slots past the current one).
+  Slot now_ = 0;                    // slot of the current transmit pass
+  std::vector<Slot> planned_slot_;  // ring row -> arrival slot it counts
+  std::vector<int> planned_recv_;   // ring row * node_count + node
   std::vector<Tx> inner_scratch_;
 };
 

@@ -87,9 +87,10 @@ void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
   const NodeKey size = host.node_count();
   for (NodeKey v = 0; v < size; ++v) {
     if (v == options().source) continue;
-    if (host.ahead(v).empty()) continue;
-    PacketId expected = host.gap_free_prefix(v);
-    for (const PacketId a : host.ahead(v)) {
+    const loss::SequenceTracker& tracker = host.tracker(v);
+    if (tracker.ahead_empty()) continue;
+    PacketId expected = tracker.gap_free_prefix();
+    tracker.for_each_ahead([&](PacketId a) {
       for (PacketId g = expected; g < a; ++g) {
         const auto key = std::make_pair(v, g);
         if (options().repair_horizon >= 0 &&
@@ -110,7 +111,7 @@ void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
         schedule_repair(host, v, g, options().source, options().sweep_tag, t);
       }
       expected = a + 1;
-    }
+    });
   }
 }
 

@@ -27,9 +27,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
+#include "src/loss/sequence_tracker.hpp"
 #include "src/sim/event.hpp"
 #include "src/sim/packet.hpp"
 
@@ -118,7 +118,14 @@ struct RecoveryStats {
 
 /// The host-side services a recovery policy may use. Implemented by
 /// loss::RecoveryProtocol; a policy never touches the topology or the
-/// engine directly, so the module depends only on simbase.
+/// engine directly, so the module depends only on simbase (which includes
+/// the SequenceTracker handed out by tracker()).
+///
+/// The queries run on every event of a lossy run and are O(1) on flat
+/// state (DESIGN.md §6): holds / has_arrived / gap_free_prefix read a
+/// per-node bitmap tracker, the in-order gate is per-node and costs
+/// nothing at a receiver with no open gap, and the receive-headroom ledger
+/// is a ring of per-slot rows. in_flight and abandoned are hashed.
 class RecoveryHost {
  public:
   virtual ~RecoveryHost() = default;
@@ -133,8 +140,10 @@ class RecoveryHost {
   virtual bool has_arrived(NodeKey node, PacketId p) const = 0;
   /// First packet id `node` has not yet received.
   virtual PacketId gap_free_prefix(NodeKey node) const = 0;
-  /// Ids received ahead of the prefix (the current gaps' far side).
-  virtual const std::set<PacketId>& ahead(NodeKey node) const = 0;
+  /// The node's sequence state: the gap-free prefix plus the ids received
+  /// ahead of it (the current gaps' far side), walked ascending with
+  /// for_each_ahead().
+  virtual const loss::SequenceTracker& tracker(NodeKey node) const = 0;
 
   virtual bool in_flight(NodeKey to, PacketId p) const = 0;
   virtual void set_in_flight(NodeKey to, PacketId p, bool value) = 0;
@@ -147,6 +156,8 @@ class RecoveryHost {
   /// metrics then report the packet as an undecodable gap instead of the
   /// substream stalling behind it forever.
   virtual void abandon_gap(Slot t, NodeKey to, PacketId p) = 0;
+  /// True once abandon_gap(·, node, p) ran: p will never reach `node`.
+  virtual bool abandoned(NodeKey node, PacketId p) const = 0;
 
   /// Nodes that have previously delivered to `to`, in first-seen order.
   virtual const std::vector<NodeKey>& senders_seen(NodeKey to) const = 0;

@@ -1,6 +1,8 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/policy/streaming_code.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace streamcast::policy {
 
@@ -21,28 +23,62 @@ StreamingCodePolicy::StreamingCodePolicy(const RecoveryPolicyOptions& options)
   decode_delay_ = std::max(decode_delay_, static_cast<Slot>(max_burst_));
 }
 
-void StreamingCodePolicy::record_use(RecoveryHost& /*host*/, LinkKey /*key*/,
-                                     Link& link, const Tx& tx, bool parity) {
-  const UseIndex idx = link.next_index++;
-  Use use;
-  use.tx = tx;
-  use.parity = parity;
-  link.uses.emplace(idx, use);
+void StreamingCodePolicy::bind(RecoveryHost& host) {
+  out_.resize(static_cast<std::size_t>(host.node_count()));
+}
+
+std::int32_t StreamingCodePolicy::find_link(NodeKey from, NodeKey to) const {
+  for (const auto& [dst, id] : out_[static_cast<std::size_t>(from)]) {
+    if (dst == to) return id;
+  }
+  return -1;
+}
+
+StreamingCodePolicy::Link& StreamingCodePolicy::link_for(NodeKey from,
+                                                         NodeKey to) {
+  auto& out = out_[static_cast<std::size_t>(from)];
+  const auto it = std::ranges::lower_bound(
+      out, to, {}, &std::pair<NodeKey, std::int32_t>::first);
+  if (it != out.end() && it->first == to) {
+    return links_[static_cast<std::size_t>(it->second)];
+  }
+  const auto id = static_cast<std::int32_t>(links_.size());
+  out.insert(it, {to, id});
+  links_.push_back(Link{.from = from, .to = to});
+  return links_.back();
+}
+
+void StreamingCodePolicy::record_use(Link& link, const Tx& tx, bool parity) {
+  const auto idx = static_cast<UseIndex>(link.uses.size());
+  link.uses.push_back(Use{.tx = tx, .parity = parity});
   ++pending_uses_;
   if (parity) {
-    parity_at_.emplace(tx.packet, std::make_pair(LinkKey{tx.from, tx.to}, idx));
+    parity_at_.push_back(ParityUse{
+        .link = static_cast<std::int32_t>(&link - links_.data()),
+        .index = idx});
   } else {
-    link.index_of[tx.packet] = idx;
     link.credit += static_cast<std::int64_t>(max_burst_);
+  }
+}
+
+void StreamingCodePolicy::finalize_use(Link& link, UseIndex idx,
+                                       UseState state) {
+  link.uses[static_cast<std::size_t>(idx)].state = state;
+  --pending_uses_;
+  const auto size = static_cast<UseIndex>(link.uses.size());
+  while (link.first_pending < size &&
+         link.uses[static_cast<std::size_t>(link.first_pending)].state !=
+             UseState::kPending) {
+    ++link.first_pending;
   }
 }
 
 void StreamingCodePolicy::on_data_emitted(RecoveryHost& host, Slot /*t*/,
                                           const Tx& tx) {
-  LinkKey key{tx.from, tx.to};
-  Link& link = code_links_[key];
+  Link& link = link_for(tx.from, tx.to);
   if (options().dense_links) detect_skips(host, link, tx);
-  record_use(host, key, link, tx, /*parity=*/false);
+  record_use(link, tx, /*parity=*/false);
+  activate(link);
 }
 
 void StreamingCodePolicy::detect_skips(RecoveryHost& host, Link& link,
@@ -50,67 +86,71 @@ void StreamingCodePolicy::detect_skips(RecoveryHost& host, Link& link,
   // On a dense link the inner schedule advances one id per emission; a jump
   // means the ids in between were lost upstream before this link ever
   // carried them. Queue them for forwarding once the sender holds them.
+  // Every queued id is above last_data, so appending keeps the queue
+  // ascending and duplicate-free.
   if (tx.packet > link.last_data + 1) {
     const PacketId lo =
         std::max(link.last_data + 1, tx.packet - kMaxSkipRange);
     for (PacketId g = lo; g < tx.packet; ++g) {
       if (host.has_arrived(tx.to, g)) continue;
       if (host.in_flight(tx.to, g)) continue;
-      link.skipped.try_emplace(g, tx.tag);
+      link.skipped.emplace_back(g, tx.tag);
     }
   }
   link.last_data = std::max(link.last_data, tx.packet);
 }
 
 void StreamingCodePolicy::forward_skipped(RecoveryHost& host, Slot t,
-                                          LinkKey key, Link& link,
+                                          Link& link,
+                                          // lint: allow(hot-path-alloc)
                                           std::vector<Tx>& out) {
-  const auto [from, to] = key;
-  for (auto it = link.skipped.begin(); it != link.skipped.end();) {
-    const PacketId id = it->first;
-    if (host.has_arrived(to, id) || lost_.contains({to, id})) {
-      it = link.skipped.erase(it);
-      continue;
-    }
-    if (lost_.contains({from, id})) {
+  const NodeKey from = link.from;
+  const NodeKey to = link.to;
+  // Compacts the queue in place: `kept` entries stay queued, in order.
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i < link.skipped.size(); ++i) {
+    const auto [id, tag] = link.skipped[i];
+    if (host.has_arrived(to, id) || host.abandoned(to, id)) continue;
+    if (host.abandoned(from, id)) {
       // The upstream hop gave this id up: the sender will never hold it,
       // so no data use can ever carry it here. Cascade the abandonment.
-      lost_.insert({to, id});
       host.abandon_gap(t, to, id);
-      it = link.skipped.erase(it);
       continue;
     }
     if (host.in_flight(to, id) || !host.holds(from, id)) {
-      ++it;  // still undecided upstream, or already on its way
-      continue;
+      link.skipped[kept++] = link.skipped[i];  // still undecided upstream,
+      continue;                                // or already on its way
     }
     if (!host.send_available(from) ||
         !host.recv_headroom(t + host.link_latency(from, to) - 1, to)) {
       break;  // out of capacity this slot; the queue carries over
     }
     const Tx fwd{
-        .from = from, .to = to, .packet = id, .tag = it->second,
-        .retransmit = true};
-    record_use(host, key, link, fwd, /*parity=*/false);
+        .from = from, .to = to, .packet = id, .tag = tag, .retransmit = true};
+    record_use(link, fwd, /*parity=*/false);
     out.push_back(fwd);
     ++host.stats().retransmissions;
     host.use_send(from);
     host.note_planned_arrival(t + host.link_latency(from, to) - 1, to);
     host.set_in_flight(to, id, true);
-    it = link.skipped.erase(it);
   }
+  for (; i < link.skipped.size(); ++i) link.skipped[kept++] = link.skipped[i];
+  link.skipped.resize(kept);
 }
 
 bool StreamingCodePolicy::emit_parity_use(RecoveryHost& host, Slot t,
-                                          LinkKey key, Link& link,
+                                          Link& link,
+                                          // lint: allow(hot-path-alloc)
                                           std::vector<Tx>& out) {
-  const auto [from, to] = key;
+  const NodeKey from = link.from;
+  const NodeKey to = link.to;
   if (!host.send_available(from) ||
       !host.recv_headroom(t + host.link_latency(from, to) - 1, to)) {
     return false;  // blocked on capacity; the credit carries over
   }
   const Tx parity{.from = from, .to = to, .packet = next_code_id_++, .tag = -1};
-  record_use(host, key, link, parity, /*parity=*/true);
+  record_use(link, parity, /*parity=*/true);
   out.push_back(parity);
   host.use_send(from);
   host.note_planned_arrival(t + host.link_latency(from, to) - 1, to);
@@ -119,75 +159,115 @@ bool StreamingCodePolicy::emit_parity_use(RecoveryHost& host, Slot t,
 }
 
 void StreamingCodePolicy::emit(RecoveryHost& host, Slot t,
+                               // lint: allow(hot-path-alloc)
                                std::vector<Tx>& out) {
-  for (auto& [key, link] : code_links_) {
+  // Ascending (from, to): parity ids and residual capacity are handed out
+  // in this order. Links that joined since the last pass merge into place.
+  if (!joining_.empty()) {
+    const auto by_key = [&](std::int32_t a, std::int32_t b) {
+      const Link& x = links_[static_cast<std::size_t>(a)];
+      const Link& y = links_[static_cast<std::size_t>(b)];
+      return std::pair{x.from, x.to} < std::pair{y.from, y.to};
+    };
+    std::ranges::sort(joining_, by_key);
+    const auto mid = static_cast<std::ptrdiff_t>(active_.size());
+    active_.insert(active_.end(), joining_.begin(), joining_.end());
+    std::inplace_merge(active_.begin(), active_.begin() + mid, active_.end(),
+                       by_key);
+    joining_.clear();
+  }
+  std::size_t kept = 0;
+  for (const std::int32_t id : active_) {
+    Link& link = links_[static_cast<std::size_t>(id)];
     // Relay forwarding: re-inject ids the dense schedule skipped past, as
     // regular parity-protected data uses.
-    if (!link.skipped.empty()) forward_skipped(host, t, key, link, out);
+    if (!link.skipped.empty()) forward_skipped(host, t, link, out);
     // Cadence parity: one parity use per T credit (B credit per data use),
     // i.e. the code's B:T parity:data ratio.
     while (link.credit >= static_cast<std::int64_t>(decode_delay_)) {
-      if (!emit_parity_use(host, t, key, link, out)) break;
+      if (!emit_parity_use(host, t, link, out)) break;
       link.credit -= static_cast<std::int64_t>(decode_delay_);
     }
     // Window flush: an undecided erasure at index i needs the link's index
     // stream to reach i + T before its fate is known. Once the data
     // schedule goes quiet (end of stream, drain), keep the stream moving
     // with extra parity uses until every open window is full.
-    if (!link.open.empty() &&
-        link.next_index <= *link.open.rbegin() + decode_delay_) {
-      emit_parity_use(host, t, key, link, out);
+    if (window_open(link)) emit_parity_use(host, t, link, out);
+    if (owes_emit(link)) {
+      active_[kept++] = id;
+    } else {
+      link.active = false;
     }
   }
+  active_.resize(kept);
 }
 
-void StreamingCodePolicy::note_erasure_run(RecoveryHost& host, Link& link,
-                                           UseIndex idx) {
+bool StreamingCodePolicy::window_open(const Link& link) const {
+  return !link.open.empty() && static_cast<UseIndex>(link.uses.size()) <=
+                                   link.open.back() + decode_delay_;
+}
+
+bool StreamingCodePolicy::owes_emit(const Link& link) const {
+  return !link.skipped.empty() ||
+         link.credit >= static_cast<std::int64_t>(decode_delay_) ||
+         window_open(link);
+}
+
+void StreamingCodePolicy::activate(Link& link) {
+  if (link.active) return;
+  link.active = true;
+  joining_.push_back(static_cast<std::int32_t>(&link - links_.data()));
+}
+
+std::pair<StreamingCodePolicy::UseIndex, StreamingCodePolicy::UseIndex>
+StreamingCodePolicy::erasure_run(const Link& link, UseIndex idx) const {
+  const auto erased = [&](UseIndex k) {
+    return k >= 0 && k < static_cast<UseIndex>(link.uses.size()) &&
+           link.uses[static_cast<std::size_t>(k)].state == UseState::kErased;
+  };
   UseIndex s = idx;
-  while (true) {
-    const auto it = link.uses.find(s - 1);
-    if (it == link.uses.end() || it->second.state != UseState::kErased) break;
-    --s;
-  }
+  while (erased(s - 1)) --s;
   UseIndex e = idx;
-  while (true) {
-    const auto it = link.uses.find(e + 1);
-    if (it == link.uses.end() || it->second.state != UseState::kErased) break;
-    ++e;
-  }
-  host.stats().max_erasure_run =
-      std::max(host.stats().max_erasure_run, e - s + 1);
+  while (erased(e + 1)) ++e;
+  return {s, e};
 }
 
 void StreamingCodePolicy::finalize_data_use(RecoveryHost& host, Slot t,
                                             const Tx& tx, UseState state) {
-  const auto link_it = code_links_.find({tx.from, tx.to});
-  if (link_it == code_links_.end()) return;
-  Link& link = link_it->second;
-  const auto idx_it = link.index_of.find(tx.packet);
-  if (idx_it == link.index_of.end()) return;
-  const UseIndex idx = idx_it->second;
-  link.index_of.erase(idx_it);
-  Use& use = link.uses.at(idx);
-  use.state = state;
-  --pending_uses_;
+  const std::int32_t id = find_link(tx.from, tx.to);
+  if (id < 0) return;
+  Link& link = links_[static_cast<std::size_t>(id)];
+  // The pending data use of this packet: at most one per packet at a time
+  // (the host's in-flight suppression), and uses finalize close to index
+  // order, so the scan from the first pending use is short.
+  const auto size = static_cast<UseIndex>(link.uses.size());
+  UseIndex idx = link.first_pending;
+  for (; idx < size; ++idx) {
+    const Use& use = link.uses[static_cast<std::size_t>(idx)];
+    if (use.state == UseState::kPending && !use.parity &&
+        use.tx.packet == tx.packet) {
+      break;
+    }
+  }
+  if (idx == size) return;
+  finalize_use(link, idx, state);
   if (state == UseState::kErased) {
-    link.open.insert(idx);
+    link.open.insert(std::ranges::lower_bound(link.open, idx), idx);
     ++undecided_;
-    note_erasure_run(host, link, idx);
+    activate(link);
+    const auto [s, e] = erasure_run(link, idx);
+    host.stats().max_erasure_run =
+        std::max(host.stats().max_erasure_run, e - s + 1);
   } else {
     // A later transmission of the same packet got through: any open erased
     // use of it on this link is naturally repaired and needs no decode.
-    for (auto it = link.open.begin(); it != link.open.end();) {
-      Use& prior = link.uses.at(*it);
-      if (!prior.decided && prior.tx.packet == tx.packet) {
-        prior.decided = true;
-        it = link.open.erase(it);
-        --undecided_;
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(link.open, [&](UseIndex k) {
+      Use& prior = link.uses[static_cast<std::size_t>(k)];
+      if (prior.decided || prior.tx.packet != tx.packet) return false;
+      prior.decided = true;
+      --undecided_;
+      return true;
+    });
   }
   settle(host, t, link);
 }
@@ -202,84 +282,71 @@ void StreamingCodePolicy::on_data_drop(RecoveryHost& host,
   finalize_data_use(host, d.would_arrive, d.tx, UseState::kErased);
 }
 
+void StreamingCodePolicy::finalize_parity_use(RecoveryHost& host, Slot t,
+                                              PacketId id, UseState state) {
+  const PacketId slot = id - sim::kControlIdBase;
+  if (slot < 0 || slot >= static_cast<PacketId>(parity_at_.size())) return;
+  ParityUse& at = parity_at_[static_cast<std::size_t>(slot)];
+  if (at.link < 0) return;
+  Link& link = links_[static_cast<std::size_t>(at.link)];
+  const UseIndex idx = at.index;
+  at.link = -1;
+  finalize_use(link, idx, state);
+  if (state == UseState::kErased) {
+    // An erased parity use carries no stream gap of its own, but it extends
+    // the channel's erasure run and can collide with an open decode window.
+    link.uses[static_cast<std::size_t>(idx)].decided = true;
+    const auto [s, e] = erasure_run(link, idx);
+    host.stats().max_erasure_run =
+        std::max(host.stats().max_erasure_run, e - s + 1);
+  }
+  settle(host, t, link);
+}
+
 void StreamingCodePolicy::on_control_arrival(RecoveryHost& host, Slot t,
                                              const Tx& tx) {
-  const auto it = parity_at_.find(tx.packet);
-  if (it == parity_at_.end()) return;
-  const auto [key, idx] = it->second;
-  parity_at_.erase(it);
-  Link& link = code_links_.at(key);
-  link.uses.at(idx).state = UseState::kArrived;
-  --pending_uses_;
-  settle(host, t, link);
+  finalize_parity_use(host, t, tx.packet, UseState::kArrived);
 }
 
 void StreamingCodePolicy::on_control_drop(RecoveryHost& host,
                                           const sim::Drop& d) {
-  const auto it = parity_at_.find(d.tx.packet);
-  if (it == parity_at_.end()) return;
-  const auto [key, idx] = it->second;
-  parity_at_.erase(it);
-  Link& link = code_links_.at(key);
-  Use& use = link.uses.at(idx);
-  use.state = UseState::kErased;
-  // An erased parity use carries no stream gap of its own, but it extends
-  // the channel's erasure run and can collide with an open decode window.
-  use.decided = true;
-  --pending_uses_;
-  note_erasure_run(host, link, idx);
-  settle(host, d.would_arrive, link);
+  finalize_parity_use(host, d.would_arrive, d.tx.packet, UseState::kErased);
 }
 
-void StreamingCodePolicy::decide(RecoveryHost& /*host*/, Link& link,
-                                 UseIndex idx) {
-  Use& use = link.uses.at(idx);
+void StreamingCodePolicy::decide(Link& link, UseIndex idx) {
+  Use& use = link.uses[static_cast<std::size_t>(idx)];
   if (use.decided) return;
   use.decided = true;
   if (!use.parity) {
-    link.open.erase(idx);
-    --undecided_;
+    const auto it = std::ranges::lower_bound(link.open, idx);
+    if (it != link.open.end() && *it == idx) {
+      link.open.erase(it);
+      --undecided_;
+    }
   }
 }
 
 void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
-  const std::vector<UseIndex> open_snapshot(link.open.begin(),
-                                            link.open.end());
-  for (const UseIndex idx : open_snapshot) {
-    if (!link.open.contains(idx)) continue;  // decided by an earlier run
+  open_scratch_.assign(link.open.begin(), link.open.end());
+  for (const UseIndex idx : open_scratch_) {
+    // Still open iff undecided: an earlier run of this pass may have
+    // decided it.
+    if (link.uses[static_cast<std::size_t>(idx)].decided) continue;
     // The maximal erasure run [s, e] containing idx. Channel uses finalize
     // in index order per link, so everything inside is final.
-    UseIndex s = idx;
-    while (true) {
-      const auto it = link.uses.find(s - 1);
-      if (it == link.uses.end() || it->second.state != UseState::kErased) {
-        break;
-      }
-      --s;
-    }
-    UseIndex e = idx;
-    while (true) {
-      const auto it = link.uses.find(e + 1);
-      if (it == link.uses.end() || it->second.state != UseState::kErased) {
-        break;
-      }
-      ++e;
-    }
+    const auto [s, e] = erasure_run(link, idx);
 
     const auto declare_unrecoverable = [&](UseIndex lo, UseIndex hi) {
       for (UseIndex j = lo; j <= hi; ++j) {
-        const auto it = link.uses.find(j);
-        if (it == link.uses.end()) continue;
-        Use& use = it->second;
+        Use& use = link.uses[static_cast<std::size_t>(j)];
         if (use.state != UseState::kErased || use.decided) continue;
         if (!use.parity) {
           ++host.stats().unrecoverable;
           if (!host.has_arrived(use.tx.to, use.tx.packet)) {
-            lost_.insert({use.tx.to, use.tx.packet});
             host.abandon_gap(t, use.tx.to, use.tx.packet);
           }
         }
-        decide(host, link, j);
+        decide(link, j);
       }
     };
 
@@ -294,14 +361,17 @@ void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
     // collision; a pending or not-yet-emitted use leaves the decision open.
     bool wait = false;
     bool collision = false;
+    const auto size = static_cast<UseIndex>(link.uses.size());
     for (UseIndex k = e + 1; k <= idx + static_cast<UseIndex>(decode_delay_);
          ++k) {
-      const auto it = link.uses.find(k);
-      if (it == link.uses.end() || it->second.state == UseState::kPending) {
+      const UseState state =
+          k < size ? link.uses[static_cast<std::size_t>(k)].state
+                   : UseState::kPending;
+      if (state == UseState::kPending) {
         wait = true;
         break;
       }
-      if (it->second.state == UseState::kErased) {
+      if (state == UseState::kErased) {
         collision = true;
         break;
       }
@@ -314,12 +384,12 @@ void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
     if (wait) continue;
 
     // All of (e, idx + T] arrived: the BLK code recovers position idx.
-    Use& use = link.uses.at(idx);
+    const Use& use = link.uses[static_cast<std::size_t>(idx)];
     if (!host.has_arrived(use.tx.to, use.tx.packet)) {
       ++host.stats().fec_decodes;
       host.ingest_decoded(t, use.tx);
     }
-    decide(host, link, idx);
+    decide(link, idx);
   }
 }
 

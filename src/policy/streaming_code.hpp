@@ -45,8 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -60,6 +58,7 @@ class StreamingCodePolicy final : public RecoveryPolicy {
 
   const char* name() const override { return "streaming-code"; }
 
+  void bind(RecoveryHost& host) override;
   void on_data_emitted(RecoveryHost& host, Slot t, const Tx& tx) override;
   void emit(RecoveryHost& host, Slot t, std::vector<Tx>& out) override;
   void on_data_arrival(RecoveryHost& host, Slot t, const Tx& tx) override;
@@ -71,7 +70,6 @@ class StreamingCodePolicy final : public RecoveryPolicy {
   }
 
  private:
-  using LinkKey = std::pair<NodeKey, NodeKey>;
   using UseIndex = std::int64_t;
 
   enum class UseState { kPending, kArrived, kErased };
@@ -88,48 +86,84 @@ class StreamingCodePolicy final : public RecoveryPolicy {
   };
 
   struct Link {
-    UseIndex next_index = 0;
+    NodeKey from = sim::kNoNode;
+    NodeKey to = sim::kNoNode;
     /// Parity cadence accumulator: +B per data use, -T per parity use.
     std::int64_t credit = 0;
-    /// Every channel use of the link, by index. Windows are small (a
-    /// cluster's measurement window plus parity), so uses are kept for the
-    /// whole run instead of pruned.
-    std::map<UseIndex, Use> uses;
-    /// Pending data uses: packet id -> index (one per packet at a time,
-    /// enforced by the host's in-flight suppression).
-    std::map<PacketId, UseIndex> index_of;
-    /// Erased data uses not yet decided.
-    std::set<UseIndex> open;
+    /// Every channel use of the link, indexed by UseIndex (the next index
+    /// is uses.size()). Windows are small (a cluster's measurement window
+    /// plus parity), so uses are kept for the whole run instead of pruned.
+    std::vector<Use> uses{};
+    /// No use below this index is still pending.
+    UseIndex first_pending = 0;
+    /// Erased data uses not yet decided, ascending.
+    std::vector<UseIndex> open{};
     /// Newest data id emitted on this link (dense-link skip detection).
     PacketId last_data = -1;
-    /// Ids the dense schedule skipped past, with the substream tag of the
-    /// skipping transmission; forwarded once the sender holds them.
-    std::map<PacketId, std::int32_t> skipped;
+    /// Ids the dense schedule skipped past, ascending, with the substream
+    /// tag of the skipping transmission; forwarded once the sender holds
+    /// them.
+    std::vector<std::pair<PacketId, std::int32_t>> skipped{};
+    /// Listed in active_ (or joining_).
+    bool active = false;
   };
 
-  void record_use(RecoveryHost& host, LinkKey key, Link& link, const Tx& tx,
-                  bool parity);
-  bool emit_parity_use(RecoveryHost& host, Slot t, LinkKey key, Link& link,
+  /// Where a parity control id's channel use sits; link -1 once final.
+  struct ParityUse {
+    std::int32_t link = -1;
+    UseIndex index = 0;
+  };
+
+  /// Index into links_ of the link (from, to), or -1.
+  std::int32_t find_link(NodeKey from, NodeKey to) const;
+  Link& link_for(NodeKey from, NodeKey to);
+  void record_use(Link& link, const Tx& tx, bool parity);
+  /// Sets a pending use's final channel outcome.
+  void finalize_use(Link& link, UseIndex idx, UseState state);
+  bool emit_parity_use(RecoveryHost& host, Slot t, Link& link,
                        std::vector<Tx>& out);
+  /// An undecided erasure still waits for the index stream to fill its
+  /// decode window.
+  bool window_open(const Link& link) const;
+  /// True when emit() has work on the link: skipped ids to forward,
+  /// cadence parity owed, or an open window to flush.
+  bool owes_emit(const Link& link) const;
+  /// Lists the link for emit(); called wherever owes_emit() can turn true
+  /// (a data use adds credit or skipped ids, an erasure opens a window).
+  void activate(Link& link);
   void detect_skips(RecoveryHost& host, Link& link, const Tx& tx);
-  void forward_skipped(RecoveryHost& host, Slot t, LinkKey key, Link& link,
+  void forward_skipped(RecoveryHost& host, Slot t, Link& link,
                        std::vector<Tx>& out);
-  /// Marks the use carrying `packet` (data) or `id` (parity) with the final
+  /// Marks the pending use carrying data packet tx.packet with the final
   /// channel outcome and re-evaluates the link's open erasures.
   void finalize_data_use(RecoveryHost& host, Slot t, const Tx& tx,
                          UseState state);
-  void note_erasure_run(RecoveryHost& host, Link& link, UseIndex idx);
+  void finalize_parity_use(RecoveryHost& host, Slot t, PacketId id,
+                           UseState state);
+  /// The maximal erasure run [s, e] of final uses around idx.
+  std::pair<UseIndex, UseIndex> erasure_run(const Link& link,
+                                            UseIndex idx) const;
   void settle(RecoveryHost& host, Slot t, Link& link);
-  void decide(RecoveryHost& host, Link& link, UseIndex idx);
+  void decide(Link& link, UseIndex idx);
 
-  std::map<LinkKey, Link> code_links_;
-  /// (node, packet) pairs declared unrecoverable there — consulted when a
-  /// downstream link waits on that node to forward the packet, so the
-  /// abandonment cascades instead of the wait lasting forever.
-  std::set<std::pair<NodeKey, PacketId>> lost_;
-  /// Parity control id -> (link, index) of the pending parity use.
-  std::map<PacketId, std::pair<LinkKey, UseIndex>> parity_at_;
+  /// Every link that carried a channel use; out_[from] lists the sender's
+  /// links as (to, index into links_) ascending by `to`.
+  std::vector<Link> links_;
+  std::vector<std::vector<std::pair<NodeKey, std::int32_t>>> out_;
+  /// The links emit() visits, ascending by (from, to) — the order parity
+  /// ids are drawn in and residual capacity is contended for. A link is
+  /// listed while owes_emit() may hold; the rest are no-ops for emit(), so
+  /// a drained or idle link costs nothing per slot. Links activated since
+  /// the last emit() wait in joining_ and merge in at its start.
+  std::vector<std::int32_t> active_;
+  std::vector<std::int32_t> joining_;
+  /// Parity channel uses by control id - sim::kControlIdBase (ids are
+  /// drawn consecutively).
+  std::vector<ParityUse> parity_at_;
   PacketId next_code_id_ = sim::kControlIdBase;
+  /// settle()'s snapshot of a link's open erasures. No hook settle() calls
+  /// into re-enters it, so one buffer serves every call.
+  std::vector<UseIndex> open_scratch_;
   /// Open erased data uses across all links.
   std::int64_t undecided_ = 0;
   /// Channel uses emitted but not yet arrived/erased, across all links.

@@ -11,8 +11,7 @@ using sim::kNoPacket;
 
 /// Exclusive upper bound on the packet ids a tracker can hold.
 PacketId holdings_end(const loss::SequenceTracker& tracker) {
-  return tracker.ahead().empty() ? tracker.gap_free_prefix()
-                                 : *tracker.ahead().rbegin() + 1;
+  return tracker.newest() + 1;
 }
 
 }  // namespace
@@ -21,7 +20,20 @@ RandomRegularProtocol::RandomRegularProtocol(Digraph graph, int peer_budget)
     : graph_(std::move(graph)),
       peer_budget_(peer_budget),
       holds_(static_cast<std::size_t>(graph_.n) + 1),
-      recv_used_(static_cast<std::size_t>(graph_.n) + 1, 0) {}
+      recv_used_(static_cast<std::size_t>(graph_.n) + 1, 0),
+      claimed_((static_cast<std::size_t>(graph_.n) + 1) *
+               static_cast<std::size_t>(graph_.d)) {}
+
+bool RandomRegularProtocol::claimed(NodeKey to, PacketId p) const {
+  const auto row = static_cast<std::size_t>(to) *
+                   static_cast<std::size_t>(graph_.d);
+  const auto used =
+      static_cast<std::size_t>(recv_used_[static_cast<std::size_t>(to)]);
+  for (std::size_t i = row; i < row + used; ++i) {
+    if (claimed_[i] == p) return true;
+  }
+  return false;
+}
 
 PacketId RandomRegularProtocol::oldest_useful(NodeKey from, NodeKey to,
                                               Slot t) const {
@@ -35,7 +47,7 @@ PacketId RandomRegularProtocol::oldest_useful(NodeKey from, NodeKey to,
   for (PacketId p = target.gap_free_prefix(); p < from_end; ++p) {
     if (target.has(p)) continue;
     if (from_holds != nullptr && !from_holds->has(p)) continue;
-    if (claimed_.contains({to, p})) continue;
+    if (claimed(to, p)) continue;
     return p;
   }
   return kNoPacket;
@@ -48,7 +60,7 @@ PacketId RandomRegularProtocol::latest_useful(NodeKey from,
   for (PacketId p = holdings_end(sender) - 1; p >= target.gap_free_prefix();
        --p) {
     if (!sender.has(p) || target.has(p)) continue;
-    if (claimed_.contains({to, p})) continue;
+    if (claimed(to, p)) continue;
     return p;
   }
   return kNoPacket;
@@ -56,12 +68,13 @@ PacketId RandomRegularProtocol::latest_useful(NodeKey from,
 
 void RandomRegularProtocol::transmit(Slot t, std::vector<Tx>& out) {
   std::fill(recv_used_.begin(), recv_used_.end(), 0);
-  claimed_.clear();
 
   const auto claim = [&](NodeKey from, NodeKey to, PacketId p) {
     out.push_back(Tx{from, to, p, /*tag=*/0, /*retransmit=*/false});
-    claimed_.insert({to, p});
-    ++recv_used_[static_cast<std::size_t>(to)];
+    int& used = recv_used_[static_cast<std::size_t>(to)];
+    claimed_[static_cast<std::size_t>(to) * static_cast<std::size_t>(graph_.d) +
+             static_cast<std::size_t>(used)] = p;
+    ++used;
   };
 
   // Repair push: the most deprived neighbor (smallest gap-free prefix, ties

@@ -9,18 +9,16 @@
 // heavy delay tail, oldest-only starves the frontier and the swarm's
 // throughput collapses below the stream rate (see transmit()). The source
 // paces the stream at rate 1 (packet p exists from slot p) and spends its
-// capacity d on its entry receivers. A per-slot claim set keeps concurrent
+// capacity d on its entry receivers. Per-slot claims keep concurrent
 // senders from double-targeting the same (receiver, packet) pair, so the
 // overlay stays duplicate-free under the engine's forbid_duplicates check
 // without any coordination beyond the shared omniscient state the other
 // scheme protocols already assume (see HypercubeProtocol).
 #pragma once
 
-#include <set>
-#include <utility>
 #include <vector>
 
-#include "src/loss/recovery.hpp"
+#include "src/loss/sequence_tracker.hpp"
 #include "src/rrd/digraph.hpp"
 #include "src/sim/protocol.hpp"
 
@@ -51,15 +49,20 @@ class RandomRegularProtocol final : public sim::Protocol {
   /// Newest such packet (receivers only) — the frontier-spreading side of
   /// the policy; see transmit() for why both are needed.
   PacketId latest_useful(sim::NodeKey from, sim::NodeKey to) const;
+  /// True when some sender already targeted packet p at `to` this slot.
+  bool claimed(sim::NodeKey to, PacketId p) const;
 
   Digraph graph_;
   int peer_budget_;
   /// holds_[v] = packets receiver v has (index 0, the source, unused).
   std::vector<loss::SequenceTracker> holds_;
 
-  // Per-slot scratch, reset at the top of transmit().
+  // Per-slot scratch, reset at the top of transmit(). A receiver takes at
+  // most d claims per slot, so its claims sit in the d-wide row
+  // claimed_[v * d, v * d + recv_used_[v]) and resetting recv_used_
+  // clears them.
   std::vector<int> recv_used_;
-  std::set<std::pair<sim::NodeKey, PacketId>> claimed_;
+  std::vector<PacketId> claimed_;
 };
 
 }  // namespace streamcast::rrd

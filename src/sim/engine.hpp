@@ -201,6 +201,7 @@ class Engine {
   std::size_t seen_stride_ = 0;
   /// Sparse control-plane ids (>= kControlIdBase) keep the hash set; repair
   /// bookkeeping traffic is rare so this is off the hot path.
+  // lint: allow(hot-path-alloc) — cold: control-plane ids only
   std::unordered_set<std::uint64_t> seen_control_;
   std::vector<DeliveryObserver*> observers_;  // lint: allow(hot-path-alloc)
   ErasureOracle* loss_ = nullptr;

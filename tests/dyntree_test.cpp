@@ -161,13 +161,6 @@ struct LiveRun {
         engine(topo, proto) {}
 };
 
-/// Newest packet id a tracker has seen, or -1.
-PacketId newest(const loss::SequenceTracker& holds) {
-  PacketId top = holds.gap_free_prefix() - 1;
-  for (const PacketId p : holds.ahead()) top = std::max(top, p);
-  return top;
-}
-
 TEST(DynamicTreesProtocol, JoinMidStreamEntersAtLiveEdgeWithoutBackfill) {
   // Satellite edge case: a join while the stream is in full swing (the
   // analogue of joining inside a backbone T_c epoch — the overlay is
@@ -185,13 +178,13 @@ TEST(DynamicTreesProtocol, JoinMidStreamEntersAtLiveEdgeWithoutBackfill) {
   // No backfill: nothing before the seating slot is guaranteed (the parent
   // queues only post-seating deliveries), but the joiner must reach the
   // live edge of its seating moment.
-  EXPECT_GE(newest(run.proto.holdings(joiner)), run.proto.live_edge(seated))
+  EXPECT_GE(run.proto.holdings(joiner).newest(), run.proto.live_edge(seated))
       << "joiner never reached the live edge";
   // Established peers keep flowing; a peer displaced by the joiner's
   // promote-swap may carry a gap (honest hiccup), but its newest packet
   // still tracks the stream.
   for (const NodeKey p : peers) {
-    EXPECT_GE(newest(run.proto.holdings(p)), 80)
+    EXPECT_GE(run.proto.holdings(p).newest(), 80)
         << "established peer " << p << " starved after the join";
   }
 }
@@ -210,9 +203,9 @@ TEST(DynamicTreesProtocol, ZeroDurationMembershipIsHarmless) {
   run.engine.run_until(90);
 
   EXPECT_EQ(run.proto.holdings(ghost).gap_free_prefix(), 0);
-  EXPECT_TRUE(run.proto.holdings(ghost).ahead().empty());
+  EXPECT_TRUE(run.proto.holdings(ghost).ahead_empty());
   for (const NodeKey p : peers) {
-    EXPECT_GE(newest(run.proto.holdings(p)), 60)
+    EXPECT_GE(run.proto.holdings(p).newest(), 60)
         << "peer " << p << " stalled on the ghost membership";
   }
 }
@@ -233,7 +226,7 @@ TEST(DynamicTreesProtocol, LeaveMidStreamKeepsSurvivorsFlowing) {
 
   for (std::size_t i = 0; i < peers.size(); ++i) {
     if (i == 3) continue;
-    EXPECT_GE(newest(run.proto.holdings(peers[i])), resumed + 40)
+    EXPECT_GE(run.proto.holdings(peers[i]).newest(), resumed + 40)
         << "survivor " << peers[i] << " stalled after the leave";
   }
 }

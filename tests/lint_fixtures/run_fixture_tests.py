@@ -96,14 +96,23 @@ def main() -> int:
     expect_clean("sweep capture: named captures stay clean",
                  HERE / "sweep_capture" / "clean")
 
-    # hot-path-alloc: tagged files ban raw new / std::vector spellings.
+    # hot-path-alloc: tagged files ban raw new / std::vector spellings and
+    # node-based or hashed containers.
     expect_finding("hot-path alloc: raw new flagged in tagged file",
                    HERE / "hot_path_alloc" / "bad",
                    "hot-path-alloc", "hot.cpp")
-    code, out = lint_ast([HERE / "hot_path_alloc" / "bad"])
+    code, out = lint_ast([HERE / "hot_path_alloc" / "bad" / "hot.cpp"])
     check("hot-path alloc: vector spelling also flagged",
           code == 1 and sum("[hot-path-alloc]" in line
                             for line in out.splitlines()) >= 2, out)
+    code, out = lint_ast(
+        [HERE / "hot_path_alloc" / "bad" / "node_containers.cpp"])
+    flagged = [line for line in out.splitlines() if "[hot-path-alloc]" in line]
+    check("hot-path alloc: map/set/unordered_map/unordered_set all flagged",
+          code == 1 and all(
+              any(f"std::{name}<" in line for line in flagged)
+              for name in ("map", "set", "unordered_map", "unordered_set")),
+          out)
     expect_clean("hot-path alloc: arena alias + allow markers stay clean",
                  HERE / "hot_path_alloc" / "clean")
 

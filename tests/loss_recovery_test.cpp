@@ -3,6 +3,7 @@
 // under heavy loss, and the playback-continuity metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "src/metrics/continuity.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
+#include "src/util/prng.hpp"
 
 namespace streamcast {
 namespace {
@@ -80,14 +82,135 @@ TEST(SequenceTracker, PrefixAndAhead) {
   EXPECT_EQ(tr.gap_free_prefix(), 2);
   EXPECT_TRUE(tr.has(3));
   EXPECT_FALSE(tr.has(2));
-  EXPECT_EQ(tr.ahead().size(), 2u);
+  std::vector<PacketId> ahead;
+  tr.for_each_ahead([&](PacketId p) { ahead.push_back(p); });
+  EXPECT_EQ(ahead, (std::vector<PacketId>{3, 5}));
+  EXPECT_EQ(tr.newest(), 5);
   tr.mark(2);  // closes the gap; prefix swallows 3, stops at 4
   EXPECT_EQ(tr.gap_free_prefix(), 4);
   tr.mark(4);
   EXPECT_EQ(tr.gap_free_prefix(), 6);
-  EXPECT_TRUE(tr.ahead().empty());
+  EXPECT_TRUE(tr.ahead_empty());
+  EXPECT_EQ(tr.newest(), 5);
   tr.mark(1);  // idempotent below the prefix
   EXPECT_EQ(tr.gap_free_prefix(), 6);
+}
+
+/// The pre-bitmap tracker: prefix plus a std::set of the ids ahead of it.
+class SetTracker {
+ public:
+  void mark(PacketId p) {
+    if (p < next_) return;
+    ahead_.insert(p);
+    swallow();
+  }
+  void start_at(PacketId p) {
+    if (p <= next_) return;
+    next_ = p;
+    ahead_.erase(ahead_.begin(), ahead_.lower_bound(next_));
+    swallow();
+  }
+  bool has(PacketId p) const { return p < next_ || ahead_.contains(p); }
+  PacketId prefix() const { return next_; }
+  PacketId newest() const {
+    return ahead_.empty() ? next_ - 1 : *ahead_.rbegin();
+  }
+  const std::set<PacketId>& ahead() const { return ahead_; }
+
+ private:
+  void swallow() {
+    while (!ahead_.empty() && *ahead_.begin() == next_) {
+      ahead_.erase(ahead_.begin());
+      ++next_;
+    }
+  }
+
+  PacketId next_ = 0;
+  std::set<PacketId> ahead_;
+};
+
+void expect_same(const SequenceTracker& tr, const SetTracker& model,
+                 int script, int op) {
+  SCOPED_TRACE(::testing::Message() << "script " << script << " op " << op);
+  ASSERT_EQ(tr.gap_free_prefix(), model.prefix());
+  ASSERT_EQ(tr.ahead_empty(), model.ahead().empty());
+  ASSERT_EQ(tr.newest(), model.newest());
+  std::vector<PacketId> ahead;
+  tr.for_each_ahead([&](PacketId p) { ahead.push_back(p); });
+  ASSERT_EQ(ahead,
+            std::vector<PacketId>(model.ahead().begin(), model.ahead().end()));
+  // Probe around the prefix, around every held id, and many words past
+  // the newest.
+  std::vector<PacketId> probes;
+  for (PacketId p = model.prefix() - 70; p < model.prefix() + 140; ++p) {
+    probes.push_back(p);
+  }
+  for (const PacketId a : model.ahead()) {
+    probes.insert(probes.end(), {a - 1, a, a + 1});
+  }
+  for (PacketId p = model.newest(); p < model.newest() + 5 * 64; p += 61) {
+    probes.push_back(p);
+  }
+  for (const PacketId p : probes) {
+    ASSERT_EQ(tr.has(p), model.has(p)) << "has(" << p << ")";
+  }
+}
+
+TEST(SequenceTracker, MatchesSetModelOnRandomScripts) {
+  util::Prng rng(0x7eac);
+  for (int script = 0; script < 300; ++script) {
+    SequenceTracker tr;
+    SetTracker model;
+    // Scripts differ in how far ahead of the prefix ids land: within a
+    // word, a few words, or hundreds of words (sparse far-future ids).
+    const std::int64_t reach = std::int64_t{1} << rng.range(2, 14);
+    for (int op = 0; op < 200; ++op) {
+      const PacketId base = model.prefix();
+      const std::int64_t kind = rng.range(0, 99);
+      PacketId p = 0;
+      if (kind < 40) {
+        p = base + rng.range(0, 3);  // at or just past the prefix
+      } else if (kind < 80) {
+        p = base + rng.range(0, reach);  // anywhere in the script's reach
+      } else if (kind < 88 && !model.ahead().empty()) {
+        p = model.newest();  // repeated mark of a held id
+      } else if (kind < 92) {
+        p = base - rng.range(1, 5);  // below the prefix: a no-op
+      }
+      if (kind < 92) {
+        tr.mark(p);
+        model.mark(p);
+      } else {
+        // start_at below, at, inside or past the held ids.
+        p = base + rng.range(-3, 2 * reach);
+        tr.start_at(p);
+        model.start_at(p);
+      }
+      expect_same(tr, model, script, op);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(SequenceTracker, FarAheadIdsAndSeatingPastThem) {
+  SequenceTracker tr;
+  tr.mark(1);
+  tr.mark(100000);  // ~1500 words past the prefix
+  tr.mark(100000);  // idempotent
+  EXPECT_TRUE(tr.has(100000));
+  EXPECT_FALSE(tr.has(99999));
+  EXPECT_EQ(tr.newest(), 100000);
+  tr.start_at(5000);  // forgets 1, keeps the far id
+  EXPECT_EQ(tr.gap_free_prefix(), 5000);
+  EXPECT_FALSE(tr.ahead_empty());
+  tr.start_at(100001);  // seats past every held id
+  EXPECT_EQ(tr.gap_free_prefix(), 100001);
+  EXPECT_TRUE(tr.ahead_empty());
+  EXPECT_EQ(tr.newest(), 100000);
+  tr.mark(100001);
+  tr.mark(100003);
+  EXPECT_EQ(tr.gap_free_prefix(), 100002);
+  EXPECT_EQ(tr.newest(), 100003);
 }
 
 TEST(RecoveryProtocol, NackRepairsSingleDropInOrder) {

@@ -25,10 +25,14 @@ This lint closes those holes by looking at what names *mean*:
                is itself a finding.
   hot-path-alloc — a direct heap allocation in a file tagged as engine hot
                path (a comment containing `streamcast: hot-path`): any
-               `new` expression or `std::vector<` spelling. Hot-path
-               containers live on the per-engine util::Arena
-               (util::ArenaVector); cold-path members that allocate once at
-               construction carry a suppression. Uniquely for this rule the
+               `new` expression or `std::vector<` spelling, and any
+               node-based or hashed container spelling (`std::map<`,
+               `std::set<`, `std::unordered_map<`, `std::unordered_set<`),
+               which allocates per element and chases pointers on every
+               lookup. Hot-path containers live on the per-engine
+               util::Arena (util::ArenaVector) or in flat, indexed vectors;
+               cold-path members that allocate once at construction carry a
+               suppression. Uniquely for this rule the
                suppression may sit on the line ABOVE the declaration
                (long member declarations cannot fit an 80-column trailing
                comment).
@@ -209,14 +213,16 @@ def check_layers(src: Source, rank, overrides) -> list[Finding]:
 # --------------------------------------------------------------------------
 
 HOT_PATH_TAG = re.compile(r"streamcast:\s*hot-path")
-HOT_ALLOC = re.compile(r"\bnew\b|\bstd::vector\s*<")
+HOT_ALLOC = re.compile(
+    r"\bnew\b|\bstd::(?:vector|map|set|unordered_map|unordered_set)\s*<")
 
 
 def check_hot_path_alloc(src: Source) -> list[Finding]:
     """In files carrying the hot-path tag, every `new` expression and every
-    `std::vector<` spelling needs an explicit allow — the hot path
-    allocates through the engine arena (util::ArenaVector), and anything
-    else must be visibly declared cold."""
+    `std::vector<`, `std::map<`, `std::set<`, `std::unordered_map<` or
+    `std::unordered_set<` spelling needs an explicit allow — the hot path
+    allocates through the engine arena (util::ArenaVector) or keeps flat,
+    indexed state, and anything else must be visibly declared cold."""
     if not any(HOT_PATH_TAG.search(line) for line in src.raw_lines):
         return []
     findings: list[Finding] = []
