@@ -15,13 +15,11 @@
 //    metric recorders to the recovery layer, so metrics observe the
 //    post-repair stream while the auditor watches the physical one.
 //
-// Scale stack (DESIGN.md §11): at or above ScaleOptions::sketch_threshold
-// nodes, lossless runs swap the exact recorders for the flat scale family
-// (ScaleDelayRecorder / ScaleNeighborRecorder). Aggregation arithmetic is
-// unchanged — the scale recorders reconstruct exact arrival rows — so the
-// QosReport is byte-identical either way (regression-tested); only the
-// memory layout and the optional distribution summaries differ. Every
-// pipeline allocation is charged against a util::BudgetLedger sized by
+// Recorders (DESIGN.md §11): every run, at every size, records with the one
+// flat family of src/metrics — int32 arrival deltas (DelayRecorder) and
+// growable per-node partner rows (NeighborRecorder) — plus, for continuity
+// runs, the ContinuityRecorder's min-arrival matrix. Every pipeline
+// allocation is charged against a util::BudgetLedger sized by
 // ScaleOptions::budget_bytes, so an oversized world fails fast with
 // BudgetExceeded instead of OOM-ing the host.
 #pragma once
@@ -60,17 +58,11 @@ struct ObserverSpec {
   audit::AuditOptions audit_options{};
   /// Caller-owned delivery trace, attached last when non-null.
   sim::Trace* trace = nullptr;
-  /// Scale-path thresholds, sketch accuracy, and the memory budget.
+  /// Sketch accuracy, neighbor row width, and the memory budget.
   scale::ScaleOptions scale{};
-  /// Use the scale recorders regardless of node_span (identity tests).
-  bool force_scale = false;
 };
 
-/// The observers of one run, constructed and wired in one place. Exactly one
-/// recorder family — exact or scale — is materialized, chosen by
-/// `ObserverSpec::scale.sketch_threshold` against `node_span` (continuity
-/// runs always keep the exact family: the stall metrics need per-packet
-/// minimum arrivals the scale encoding does not keep).
+/// The observers of one run, constructed and wired in one place.
 class ObserverStack {
  public:
   ObserverStack(const net::Topology& topology, const ObserverSpec& spec,
@@ -80,19 +72,13 @@ class ObserverStack {
   /// selects the lossy wiring (metrics observe the post-repair stream).
   void attach(sim::Engine& engine, loss::RecoveryProtocol* recovery);
 
-  /// True when this stack runs the scale recorder family.
-  bool scaled() const { return scale_delays_.has_value(); }
+  // Named by sessionbench; drop with the next benchmark PR.
+  bool scaled() const { return false; }
 
-  metrics::DelayRecorder& delays() { return *delays_; }
-  const metrics::DelayRecorder& delays() const { return *delays_; }
-  metrics::NeighborRecorder& neighbors() { return *neighbors_; }
-  const metrics::NeighborRecorder& neighbors() const { return *neighbors_; }
-  const scale::ScaleDelayRecorder& scale_delays() const {
-    return *scale_delays_;
-  }
-  const scale::ScaleNeighborRecorder& scale_neighbors() const {
-    return *scale_neighbors_;
-  }
+  metrics::DelayRecorder& delays() { return delays_; }
+  const metrics::DelayRecorder& delays() const { return delays_; }
+  metrics::NeighborRecorder& neighbors() { return neighbors_; }
+  const metrics::NeighborRecorder& neighbors() const { return neighbors_; }
   metrics::ContinuityRecorder* continuity() {
     return continuity_ ? &*continuity_ : nullptr;
   }
@@ -108,10 +94,8 @@ class ObserverStack {
   void require_clean();
 
  private:
-  std::optional<metrics::DelayRecorder> delays_;
-  std::optional<metrics::NeighborRecorder> neighbors_;
-  std::optional<scale::ScaleDelayRecorder> scale_delays_;
-  std::optional<scale::ScaleNeighborRecorder> scale_neighbors_;
+  metrics::DelayRecorder delays_;
+  metrics::NeighborRecorder neighbors_;
   std::optional<metrics::ContinuityRecorder> continuity_;
   std::optional<audit::InvariantAuditor> auditor_;
   sim::Trace* trace_;
@@ -142,7 +126,6 @@ struct AggregateInputs {
   sim::EngineStats stats{};
   /// Last slot simulated.
   Slot end = 0;
-  PacketId window = 0;
   scale::ScaleOptions scale{};
   /// Memory accounting for ScaleSummary; may be null when no summary is
   /// requested.

@@ -38,10 +38,9 @@ class StreamingSession {
   ///
   /// Scale path (DESIGN.md §11): at or above config.scale.replay_threshold
   /// receivers an eligible run — see replay_eligible() — skips the slot
-  /// engine and replays the schedule in closed form; at or above
-  /// config.scale.sketch_threshold a simulated run swaps the exact
-  /// recorders for the streaming scale family. Both paths produce the same
-  /// QosReport bytes as the exact pump (regression-tested).
+  /// engine and replays the schedule in closed form, producing the same
+  /// QosReport bytes as the pump (regression-tested). Simulated runs of
+  /// every size record with the same flat recorders.
   QosReport run() const;
 
   /// run(), returning the sketched delay/buffer distributions and the

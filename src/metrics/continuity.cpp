@@ -6,13 +6,17 @@
 
 namespace streamcast::metrics {
 
-ContinuityRecorder::ContinuityRecorder(NodeKey nodes, PacketId window)
+ContinuityRecorder::ContinuityRecorder(NodeKey nodes, PacketId window,
+                                       util::BudgetLedger* ledger)
     : window_(window), nodes_(nodes) {
   assert(nodes >= 1);
   assert(window >= 1);
-  arrival_.assign(
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window),
-      kNeverArrived);
+  const std::size_t cells =
+      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window);
+  if (ledger != nullptr) {
+    ledger->charge("metrics/continuity-recorder", cells * sizeof(Slot));
+  }
+  arrival_.assign(cells, kNeverArrived);
 }
 
 void ContinuityRecorder::on_delivery(const Delivery& d) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/sim/engine.hpp"
+#include "src/util/budget.hpp"
 
 namespace streamcast::metrics {
 
@@ -32,8 +33,10 @@ using sim::Slot;
 
 class ContinuityRecorder final : public sim::DeliveryObserver {
  public:
-  /// Tracks nodes [0, nodes) and packets [0, window).
-  ContinuityRecorder(NodeKey nodes, PacketId window);
+  /// Tracks nodes [0, nodes) and packets [0, window). Charges `ledger`,
+  /// when non-null, before allocating.
+  ContinuityRecorder(NodeKey nodes, PacketId window,
+                     util::BudgetLedger* ledger = nullptr);
 
   void on_delivery(const Delivery& d) override;
 

@@ -5,12 +5,21 @@
 //     a(i) = max_j (recv_i(j) - j),
 // the smallest start slot such that playing packet j in slot a(i)+j never
 // stalls (a packet may play in the slot it arrives; DESIGN.md §3).
+//
+// Storage is one flat [node][packet] matrix of int32 arrival *deltas*
+// (recv − packet; kNoDelta = not arrived yet) plus each node's running max
+// delta, so a(i) is O(1) and every arrival slot is still exact
+// (arrival = packet + delta). The matrix is charged against an optional
+// util::BudgetLedger before it is allocated (DESIGN.md §11).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "src/sim/engine.hpp"
+#include "src/util/budget.hpp"
 
 namespace streamcast::metrics {
 
@@ -21,20 +30,31 @@ using sim::Slot;
 
 inline constexpr Slot kNeverArrived = -1;
 
+/// Sentinel delta for a packet that has not arrived.
+inline constexpr std::int32_t kNoDelta =
+    std::numeric_limits<std::int32_t>::min();
+
 class DelayRecorder final : public sim::DeliveryObserver {
  public:
   /// Tracks nodes [0, nodes) and packets [0, window). Deliveries outside the
   /// window are ignored (the schemes stream forever; the window is where we
-  /// measure).
-  DelayRecorder(NodeKey nodes, PacketId window);
+  /// measure). Charges `ledger`, when non-null, before allocating.
+  DelayRecorder(NodeKey nodes, PacketId window,
+                util::BudgetLedger* ledger = nullptr);
 
   void on_delivery(const Delivery& d) override;
 
   /// First arrival slot of packet p at node, or kNeverArrived.
   Slot arrival(NodeKey node, PacketId p) const;
 
+  /// Writes the node's window arrival row into `row`, resized to the
+  /// window. Precondition: complete(node).
+  void arrivals(NodeKey node, std::vector<Slot>& row) const;
+
   /// True iff node received every packet in the window.
-  bool complete(NodeKey node) const;
+  bool complete(NodeKey node) const {
+    return missing_[static_cast<std::size_t>(node)] == 0;
+  }
 
   /// Playback delay a(node); nullopt until the node's window is complete.
   std::optional<Slot> playback_delay(NodeKey node) const;
@@ -51,20 +71,17 @@ class DelayRecorder final : public sim::DeliveryObserver {
   NodeKey nodes() const { return static_cast<NodeKey>(missing_.size()); }
 
  private:
-  Slot* row(NodeKey node) {
-    return arrival_.data() +
-           static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
-  }
-  const Slot* row(NodeKey node) const {
-    return arrival_.data() +
+  const std::int32_t* row(NodeKey node) const {
+    return delta_.data() +
            static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
   }
 
   PacketId window_;
-  /// Flat [node][packet] first-arrival matrix, stride window_ — one
-  /// contiguous allocation instead of a heap row per node.
-  std::vector<Slot> arrival_;
+  /// Flat [node][packet] arrival-delta matrix, stride window_.
+  std::vector<std::int32_t> delta_;
   std::vector<PacketId> missing_;  // packets still unseen per node
+  /// Running max delta per node (kNoDelta until the first arrival).
+  std::vector<std::int32_t> best_;
 };
 
 }  // namespace streamcast::metrics

@@ -1,30 +1,55 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/metrics/neighbors.hpp"
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace streamcast::metrics {
 
-NeighborRecorder::NeighborRecorder(NodeKey nodes) {
+NeighborRecorder::NeighborRecorder(NodeKey nodes, int width,
+                                   util::BudgetLedger* ledger)
+    : width_(static_cast<std::size_t>(width)) {
   assert(nodes >= 1);
-  partners_.resize(static_cast<std::size_t>(nodes));
+  if (width < 1) throw std::invalid_argument("neighbor row width < 1");
+  const auto span = static_cast<std::size_t>(nodes);
+  if (ledger != nullptr) {
+    ledger->charge("metrics/neighbor-recorder",
+                   span * (width_ * sizeof(NodeKey) +
+                           sizeof(std::uint32_t) + sizeof(std::uint32_t)));
+  }
+  inline_ = std::make_unique_for_overwrite<NodeKey[]>(span * width_);
+  used_.assign(span, 0);
+  spill_of_ = std::make_unique_for_overwrite<std::uint32_t[]>(span);
+}
+
+void NeighborRecorder::insert(NodeKey node, NodeKey partner) {
+  if (node < 0 || static_cast<std::size_t>(node) >= used_.size()) return;
+  const auto key = static_cast<std::size_t>(node);
+  std::uint32_t& used = used_[key];
+  NodeKey* row = inline_.get() + key * width_;
+  const std::size_t in_row = std::min<std::size_t>(used, width_);
+  if (std::find(row, row + in_row, partner) != row + in_row) return;
+  if (used < width_) {
+    row[used++] = partner;
+    return;
+  }
+  if (used == width_) {
+    spill_of_[key] = static_cast<std::uint32_t>(spill_.size());
+    spill_.emplace_back();
+  } else {
+    const auto& spilled = spill_[spill_of_[key]];
+    if (std::find(spilled.begin(), spilled.end(), partner) != spilled.end()) {
+      return;
+    }
+  }
+  spill_[spill_of_[key]].push_back(partner);
+  ++used;
 }
 
 void NeighborRecorder::on_delivery(const Delivery& d) {
-  if (d.tx.from < static_cast<NodeKey>(partners_.size())) {
-    partners_[static_cast<std::size_t>(d.tx.from)].insert(d.tx.to);
-  }
-  if (d.tx.to < static_cast<NodeKey>(partners_.size())) {
-    partners_[static_cast<std::size_t>(d.tx.to)].insert(d.tx.from);
-  }
-}
-
-std::size_t NeighborRecorder::count(NodeKey node) const {
-  return partners_[static_cast<std::size_t>(node)].size();
-}
-
-const std::set<NodeKey>& NeighborRecorder::neighbors(NodeKey node) const {
-  return partners_[static_cast<std::size_t>(node)];
+  insert(d.tx.to, d.tx.from);
+  insert(d.tx.from, d.tx.to);
 }
 
 std::size_t NeighborRecorder::max_count(NodeKey from, NodeKey to) const {

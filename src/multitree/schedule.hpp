@@ -5,7 +5,8 @@
 // to its r-th child in slot t the packet it is currently disseminating. The
 // schedule is perfectly periodic, so the arrival slot of tree-k packet
 // (k + m*d) at position p is  m*d + A_k(p)  for a per-position offset A_k(p)
-// computed by one top-down pass:
+// computed by one top-down pass (envelope::arrival_offsets in
+// src/static/lattice.hpp, the same for every k):
 //     A_k(child at index c of q) = A_k(q) + 1 + ((c - A_k(q) - 1) mod d)
 // with A_k(position p in level 1) = (p-1) mod d.
 //
@@ -23,9 +24,6 @@
 namespace streamcast::multitree {
 
 using sim::Slot;
-
-/// A_k(p) for every position p in [1, n_pad]; index 0 is unused (0).
-std::vector<Slot> arrival_offsets(const Forest& forest, int k);
 
 /// Closed-form playback delay a(x) for every real receiver x in [1, n];
 /// index 0 unused (0). Pre-recorded mode; the live-prebuffered mode adds

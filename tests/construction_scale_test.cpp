@@ -3,13 +3,16 @@
 // at N = 10^5. Both builders are near-linear in N (DESIGN.md §5, §12); the
 // ctest TIMEOUT is far above their build time but far below what a
 // quadratic builder needs at these sizes. Each test checks the built
-// overlay's structure, not just that it finished.
+// overlay's structure, not just that it finished. One end-to-end session,
+// hypercube at N = 5·10^4, checks that the recorders keep up with an
+// O(log N) neighbor count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 
+#include "src/core/session.hpp"
 #include "src/dyntree/forest.hpp"
 #include "src/multitree/greedy.hpp"
 #include "src/multitree/validate.hpp"
@@ -65,6 +68,24 @@ TEST(ConstructionScale, DynamicTreesHundredThousandPeersStayBalanced) {
     }
     EXPECT_EQ(f.spare_seats(k), spares) << "tree " << k;
   }
+}
+
+TEST(ConstructionScale, HypercubeFiftyThousandKeepsEveryNeighbor) {
+  // Hypercube partners grow like log N: well past the neighbor recorder's
+  // inline row at this size. Unaudited, because the audited run takes
+  // ~35 s; an audited run gives the same report.
+  core::SessionConfig cfg{
+      .scheme = core::Scheme::kHypercube, .n = 50'000, .d = 1};
+  cfg.audit = false;
+  const auto start = std::chrono::steady_clock::now();
+  const core::QosReport report = core::StreamingSession(cfg).run();
+  RecordProperty("hypercube_n50000_ms",
+                 static_cast<int>(seconds_since(start) * 1e3));
+  EXPECT_EQ(report.worst_delay, 60);
+  EXPECT_EQ(report.max_buffer, 2u);
+  EXPECT_EQ(report.max_neighbors, 35u);
+  // 728745 partner slots over 50000 receivers: ≈ 14.57 each.
+  EXPECT_DOUBLE_EQ(report.average_neighbors, 728'745.0 / 50'000);
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <vector>
+
 #include "src/metrics/buffers.hpp"
 #include "src/metrics/delay.hpp"
 #include "src/metrics/neighbors.hpp"
 #include "src/metrics/summary.hpp"
+#include "src/util/prng.hpp"
 
 namespace streamcast::metrics {
 namespace {
@@ -119,6 +125,51 @@ TEST(NeighborRecorder, CountsBothDirectionsDistinct) {
   EXPECT_EQ(rec.count(4), 0u);
   EXPECT_EQ(rec.max_count(1, 4), 3u);
   EXPECT_DOUBLE_EQ(rec.mean_count(1, 4), (3.0 + 1.0 + 1.0 + 0.0) / 4.0);
+}
+
+TEST(NeighborRecorder, MatchesSetModelOnRandomDeliveries) {
+  // Random deliveries against a std::set-per-node model, from the narrowest
+  // row up. Two hub nodes draw partners from the whole key space, so their
+  // partner lists outgrow the inline row and spill; keys just past the
+  // recorder's span are never holders but still count as partners.
+  for (const int width : {1, 2, 3, NeighborRecorder::kInlineWidth}) {
+    int spilled = 0;
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      util::Prng rng(seed * 7919 + static_cast<std::uint64_t>(width));
+      const auto nodes = static_cast<NodeKey>(rng.range(2, 64));
+      NeighborRecorder rec(nodes, width);
+      std::vector<std::set<NodeKey>> model(static_cast<std::size_t>(nodes));
+      const auto record = [&](NodeKey holder, NodeKey partner) {
+        if (holder >= nodes) return;
+        model[static_cast<std::size_t>(holder)].insert(partner);
+      };
+      const auto key = [&] {
+        return static_cast<NodeKey>(rng.range(0, nodes + 2));
+      };
+      const std::int64_t deliveries = rng.range(0, 800);
+      for (std::int64_t i = 0; i < deliveries; ++i) {
+        const NodeKey from =
+            rng.chance(0.3) ? static_cast<NodeKey>(i % 2) : key();
+        const NodeKey to = key();
+        rec.on_delivery(make(from, to, 0, 0));
+        record(from, to);
+        record(to, from);
+        if (i % 97 != 0 && i + 1 != deliveries) continue;
+        for (NodeKey x = 0; x < nodes; ++x) {
+          ASSERT_EQ(rec.count(x), model[static_cast<std::size_t>(x)].size())
+              << "width " << width << " seed " << seed << " node " << x
+              << " after " << i + 1 << " deliveries";
+        }
+      }
+      std::size_t widest = 0;
+      for (const auto& partners : model) {
+        widest = std::max(widest, partners.size());
+        if (partners.size() > static_cast<std::size_t>(width)) ++spilled;
+      }
+      EXPECT_EQ(rec.max_count(0, nodes - 1), widest);
+    }
+    EXPECT_GT(spilled, 0) << "width " << width << " never spilled";
+  }
 }
 
 TEST(Summary, BasicStatistics) {

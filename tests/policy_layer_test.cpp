@@ -232,6 +232,7 @@ TEST(PolicySession, BoundedRecoveryRejectedOnDemandDrivenSchemes) {
 
 TEST(PolicySession, AdaptiveStartupDisablesClosedFormReplay) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 2};
+  cfg.audit = false;  // audited configs are never replay-eligible
   ASSERT_TRUE(StreamingSession::replay_eligible(cfg));
   cfg.startup.policy = "loss-adaptive";
   EXPECT_FALSE(StreamingSession::replay_eligible(cfg));
