@@ -245,7 +245,8 @@ void emit_shard_section(std::ostream& os, const std::string& name,
      << "    \"arena_bytes\": " << m.stats.arena_bytes << ",\n"
      << "    \"arena_chunks\": " << m.stats.arena_chunks << ",\n"
      << "    \"ring_relayouts\": " << m.stats.ring_relayouts << ",\n"
-     << "    \"seen_relayouts\": " << m.stats.seen_relayouts << "\n"
+     << "    \"seen_relayouts\": " << m.stats.seen_relayouts << ",\n"
+     << "    \"ledger_peak_bytes\": " << m.ledger_peak_bytes << "\n"
      << "  }";
 }
 
@@ -258,7 +259,9 @@ void print_shard_side(const char* name, const core::ShardMetrics& m) {
             << "  wall             : " << wall_of(m) << " s\n"
             << "  arena allocs     : " << m.stats.arena_allocations << " ("
             << m.stats.arena_bytes << " bytes, " << m.stats.arena_chunks
-            << " chunks)\n";
+            << " chunks)\n"
+            << "  shard ledger peak: " << m.ledger_peak_bytes
+            << " bytes (largest shard)\n";
 }
 
 /// The --shards mode: serial vs sharded execution of shard_config(),

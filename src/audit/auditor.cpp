@@ -26,16 +26,21 @@ std::string link_detail(const sim::Tx& tx) {
 InvariantAuditor::InvariantAuditor(const net::Topology& topology,
                                    AuditOptions options)
     : topology_(topology), options_(std::move(options)) {
+  if (options_.node_span == 0) {
+    options_.node_base = 0;
+    options_.node_span = topology_.size();
+  }
+  const NodeKey end = options_.node_base + options_.node_span;
   if (options_.audited_nodes.empty()) {
-    for (NodeKey x = 1; x < topology_.size(); ++x) {
+    for (NodeKey x = std::max<NodeKey>(options_.node_base, 1); x < end; ++x) {
       options_.audited_nodes.push_back(x);
     }
   }
   if (options_.window > 0) {
-    arrival_.assign(static_cast<std::size_t>(topology_.size()) *
+    arrival_.assign(static_cast<std::size_t>(options_.node_span) *
                         static_cast<std::size_t>(options_.window),
                     metrics::kNeverArrived);
-    prefix_.assign(static_cast<std::size_t>(topology_.size()), 0);
+    prefix_.assign(static_cast<std::size_t>(options_.node_span), 0);
   }
 }
 
@@ -91,9 +96,14 @@ void InvariantAuditor::charge_send(Slot sent, const sim::Tx& tx) {
   }
 }
 
+bool InvariantAuditor::tracked(NodeKey node) const {
+  return sim::key_offset(node, options_.node_base) <
+         static_cast<std::uint32_t>(options_.node_span);
+}
+
 std::size_t InvariantAuditor::window_index(NodeKey node,
                                            PacketId packet) const {
-  return static_cast<std::size_t>(node) *
+  return static_cast<std::size_t>(node - options_.node_base) *
              static_cast<std::size_t>(options_.window) +
          static_cast<std::size_t>(packet);
 }
@@ -102,9 +112,11 @@ void InvariantAuditor::observe_window(const sim::Delivery& d) {
   const NodeKey x = d.tx.to;
   const PacketId p = d.tx.packet;
   if (options_.window <= 0 || p < 0 || p >= options_.window) return;
+  if (!tracked(x)) return;
   Slot& slot = arrival_[window_index(x, p)];
   if (slot == metrics::kNeverArrived) slot = d.received;
-  const PacketId before = prefix_[static_cast<std::size_t>(x)];
+  PacketId& prefix = prefix_[static_cast<std::size_t>(x - options_.node_base)];
+  const PacketId before = prefix;
   PacketId after = before;
   while (after < options_.window &&
          arrival_[window_index(x, after)] != metrics::kNeverArrived) {
@@ -118,7 +130,7 @@ void InvariantAuditor::observe_window(const sim::Delivery& d) {
             .actual = after,
             .detail = "delivered prefix shrank"});
   }
-  prefix_[static_cast<std::size_t>(x)] = after;
+  prefix = after;
 }
 
 void InvariantAuditor::on_delivery(const sim::Delivery& d) {
@@ -181,19 +193,19 @@ const AuditReport& InvariantAuditor::finalize() {
   finalized_ = true;
 
   for (const NodeKey x : options_.audited_nodes) {
-    if (x < 0 || x >= topology_.size()) continue;
-    const auto base = window_index(x, 0);
-    const std::span<const Slot> row(arrival_.data() + base,
+    if (!tracked(x)) continue;
+    const std::span<const Slot> row(arrival_.data() + window_index(x, 0),
                                     static_cast<std::size_t>(options_.window));
-    const bool complete = prefix_[static_cast<std::size_t>(x)] ==
-                          options_.window;
+    const PacketId prefix =
+        prefix_[static_cast<std::size_t>(x - options_.node_base)];
+    const bool complete = prefix == options_.window;
     if (!complete) {
       if (options_.require_complete) {
         record({.kind = ViolationKind::kIncompleteWindow,
                 .slot = cur_,
                 .node = x,
                 .expected = options_.window,
-                .actual = prefix_[static_cast<std::size_t>(x)],
+                .actual = prefix,
                 .detail = "window incomplete at end of run"});
       }
       continue;  // delay/buffer undefined without the full window

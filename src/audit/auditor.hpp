@@ -68,9 +68,18 @@ struct AuditOptions {
   /// Require every audited node to complete the window by finalize().
   /// Reliable schemes must; lossy runs may time out legitimately.
   bool require_complete = false;
-  /// Nodes whose window/delay/buffer to audit. Empty = every node except
-  /// key 0 (the source). Capacity checks always cover all nodes.
+  /// Nodes whose window/delay/buffer to audit. Empty = every node of the
+  /// key range except key 0 (the source). Capacity checks always cover all
+  /// nodes.
   std::vector<NodeKey> audited_nodes{};
+  /// Key range [node_base, node_base + node_span) of the window accounting:
+  /// the arrival matrix and prefix array are sized to it and indexed by
+  /// key − node_base, and deliveries to keys outside it are checked for
+  /// capacity, pacing and duplicates but not window-tracked. A shard's
+  /// auditor gets its clusters' keys (DESIGN.md §14). node_span == 0 = the
+  /// whole topology.
+  NodeKey node_base = 0;
+  NodeKey node_span = 0;
   /// Violations stored verbatim; the rest are counted as `suppressed`.
   std::size_t max_violations = 64;
 };
@@ -100,6 +109,8 @@ class InvariantAuditor final : public sim::DeliveryObserver {
   void charge_send(Slot sent, const sim::Tx& tx);
   void observe_window(const sim::Delivery& d);
   void advance(Slot processing_slot);
+  /// True iff the window accounting covers `node`.
+  bool tracked(NodeKey node) const;
   std::size_t window_index(NodeKey node, PacketId packet) const;
 
   const net::Topology& topology_;
@@ -119,7 +130,8 @@ class InvariantAuditor final : public sim::DeliveryObserver {
 
   std::unordered_set<std::uint64_t> delivered_;  // (node, packet) keys
 
-  // Window accounting (empty when options_.window == 0).
+  // Window accounting (empty when options_.window == 0), indexed by
+  // key − options_.node_base.
   std::vector<Slot> arrival_;      // [node * window + packet]
   std::vector<PacketId> prefix_;   // gap-free delivered prefix per node
 };

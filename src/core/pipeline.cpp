@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "src/metrics/buffers.hpp"
 #include "src/policy/registry.hpp"
@@ -14,11 +15,19 @@ namespace streamcast::core {
 ObserverStack::ObserverStack(const net::Topology& topology,
                              const ObserverSpec& spec,
                              util::BudgetLedger* ledger)
-    : delays_(spec.node_span, spec.window, ledger),
-      neighbors_(spec.node_span, spec.scale.neighbor_cap, ledger),
+    : delays_(spec.node_span, spec.window, ledger, spec.node_base),
+      neighbors_(spec.node_span, spec.scale.neighbor_cap, ledger,
+                 spec.node_base),
       trace_(spec.trace) {
-  if (spec.continuity) continuity_.emplace(spec.node_span, spec.window, ledger);
-  if (spec.audit) auditor_.emplace(topology, spec.audit_options);
+  if (spec.continuity) {
+    continuity_.emplace(spec.node_span, spec.window, ledger, spec.node_base);
+  }
+  if (spec.audit) {
+    audit::AuditOptions options = spec.audit_options;
+    options.node_base = spec.node_base;
+    options.node_span = spec.node_span;
+    auditor_.emplace(topology, std::move(options));
+  }
 }
 
 void ObserverStack::attach(sim::Engine& engine,

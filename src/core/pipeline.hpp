@@ -48,8 +48,11 @@ namespace streamcast::core {
 struct ObserverSpec {
   /// Packets [0, window) measured.
   PacketId window = 0;
-  /// Recorder key space: n + 1 for a single cluster, the full topology
-  /// size for the super-tree composition.
+  /// Recorder key space [node_base, node_base + node_span): n + 1 keys from
+  /// 0 for a single cluster, the owned clusters' contiguous key run for a
+  /// shard of the super-tree composition (DESIGN.md §14). The auditor's
+  /// window accounting gets the same range.
+  NodeKey node_base = 0;
   NodeKey node_span = 0;
   /// Attach a ContinuityRecorder (lossy runs: stalls / undecodable gaps).
   bool continuity = false;

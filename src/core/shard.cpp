@@ -60,12 +60,29 @@ std::vector<NodeKey> owned_receivers(const net::ClusteredTopology& topo,
   return keys;
 }
 
-/// The shard's ObserverSpec: the base spec with the audit scope narrowed to
-/// the shard's own receivers (their arrivals are wholly in-shard, so each
-/// shard's auditor sees the complete evidence for its verdict).
-ObserverSpec shard_spec(const ObserverSpec& base,
+/// Keys owned by clusters [lo, hi): one contiguous run, since the topology
+/// lays clusters out back to back (S_i, S'_i, then the receivers) and the
+/// global source, key 0, belongs to cluster 0.
+struct KeyRange {
+  NodeKey base;
+  NodeKey span;
+};
+
+KeyRange owned_keys(const net::ClusteredTopology& topo, int lo, int hi) {
+  const NodeKey begin = lo == 0 ? 0 : topo.super_node(lo);
+  const NodeKey end = hi == topo.clusters() ? topo.size() : topo.super_node(hi);
+  return {begin, end - begin};
+}
+
+/// The shard's ObserverSpec: the base spec with the recorders sized to the
+/// shard's key range and the audit scope narrowed to its own receivers
+/// (their arrivals are wholly in-shard, so each shard's auditor sees the
+/// complete evidence for its verdict).
+ObserverSpec shard_spec(const ObserverSpec& base, KeyRange keys,
                         std::vector<NodeKey> receivers, sim::Trace* trace) {
   ObserverSpec spec = base;
+  spec.node_base = keys.base;
+  spec.node_span = keys.span;
   spec.trace = trace;
   if (spec.audit) spec.audit_options.audited_nodes = std::move(receivers);
   return spec;
@@ -76,6 +93,7 @@ ObserverSpec shard_spec(const ObserverSpec& base,
 struct Shard {
   int lo;
   int hi;
+  KeyRange keys;
   util::BudgetLedger ledger;
   supertree::SuperTreeProtocol protocol;
   Mailbox router;
@@ -86,20 +104,25 @@ struct Shard {
   ObserverStack stack;
 
   Shard(const net::ClusteredTopology& topo, supertree::IntraScheme intra,
-        const ShardOptions& opts, const ObserverSpec& base, int index,
-        int lo_in, int hi_in)
+        const ShardOptions& opts, const ObserverSpec& base, Slot horizon,
+        int index, int lo_in, int hi_in)
       : lo(lo_in),
         hi(hi_in),
+        keys(owned_keys(topo, lo_in, hi_in)),
         ledger(util::MemoryBudget{base.scale.budget_bytes}),
         protocol(topo, intra, opts.mode, {lo_in, hi_in}),
         router(topo, lo_in, hi_in),
         loss(opts.make_loss ? opts.make_loss(index) : nullptr),
         receivers(owned_receivers(topo, lo_in, hi_in)),
+        // The protocols send packet ids up to the horizon, so the duplicate
+        // bitmap is laid out for all of them up front.
         engine(topo, protocol,
-               sim::EngineOptions{.packet_window_hint = base.window,
+               sim::EngineOptions{.packet_window_hint = horizon,
                                   .budget = &ledger,
-                                  .router = &router}),
-        stack(topo, shard_spec(base, receivers,
+                                  .router = &router,
+                                  .node_base = keys.base,
+                                  .node_span = keys.span}),
+        stack(topo, shard_spec(base, keys, receivers,
                                opts.trace != nullptr ? &trace : nullptr),
               &ledger) {
     if (loss != nullptr) engine.set_loss_model(loss.get());
@@ -151,9 +174,9 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
   const Slot horizon = window + bound + 8;
   const Slot epoch = topo.t_c();
 
+  // Each shard fills in its own key range (shard_spec).
   ObserverSpec base;
   base.window = window;
-  base.node_span = static_cast<NodeKey>(topo.size());
   base.audit = config.audit;
   if (config.audit) {
     // Same cross-cluster envelope the serial session path audits: the
@@ -179,8 +202,8 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
         (static_cast<long long>(s) * clusters) / shard_count);
     const int hi = static_cast<int>(
         (static_cast<long long>(s + 1) * clusters) / shard_count);
-    shards.push_back(
-        std::make_unique<Shard>(topo, desc.intra, opts, base, s, lo, hi));
+    shards.push_back(std::make_unique<Shard>(topo, desc.intra, opts, base,
+                                             horizon, s, lo, hi));
     for (int c = lo; c < hi; ++c) {
       owner_of_cluster[static_cast<std::size_t>(c)] = s;
     }
@@ -308,6 +331,11 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
     metrics->pump_s = pump_s;
     metrics->merge_s = seconds_since(merge_start);
     metrics->stats = merged;
+    metrics->ledger_peak_bytes = 0;
+    for (auto& shard : shards) {
+      metrics->ledger_peak_bytes =
+          std::max(metrics->ledger_peak_bytes, shard->ledger.peak());
+    }
   }
   return report;
 }

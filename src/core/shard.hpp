@@ -4,7 +4,11 @@
 // boundary: shard s owns the contiguous cluster range
 // [⌊sK/S⌋, ⌊(s+1)K/S⌋) — its protocol slice, SoA engine state, arena-backed
 // in-flight ring, and observer stack — and advances T_c slots per epoch.
-// Shards interact only
+// The topology lays clusters out back to back, so a contiguous cluster range
+// owns one contiguous key run; every per-node array of the shard (engine
+// capacity and duplicate state, recorders, auditor) is sized to that run
+// and indexed by key − base, so S shards together hold one topology's worth
+// of per-node state, not S copies. Shards interact only
 // through backbone packets, and every cross-shard link has latency exactly
 // T_c (shards are cluster-contiguous, the global source sits in cluster 0,
 // and all cross-cluster latencies are T_c), so a packet sent during epoch e
@@ -23,6 +27,7 @@
 // count, including 1.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 
@@ -46,6 +51,9 @@ struct ShardMetrics {
   /// Engine totals summed over shards in submission order (allocation
   /// counters included).
   sim::EngineStats stats{};
+  /// The largest shard's BudgetLedger peak: the per-shard footprint of
+  /// engine state, ring arena and recorders (the auditor is not charged).
+  std::size_t ledger_peak_bytes = 0;
 };
 
 /// How the sharded multicluster runner executes one run. The defaults

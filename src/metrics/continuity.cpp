@@ -7,9 +7,11 @@
 namespace streamcast::metrics {
 
 ContinuityRecorder::ContinuityRecorder(NodeKey nodes, PacketId window,
-                                       util::BudgetLedger* ledger)
-    : window_(window), nodes_(nodes) {
+                                       util::BudgetLedger* ledger,
+                                       NodeKey base)
+    : window_(window), base_(base), nodes_(nodes) {
   assert(nodes >= 1);
+  assert(base >= 0);
   assert(window >= 1);
   const std::size_t cells =
       static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window);
@@ -30,9 +32,9 @@ void ContinuityRecorder::on_delivery(const Delivery& d) {
     ++data_;
   }
   if (d.tx.packet >= window_) return;
-  if (d.tx.to < 0 || d.tx.to >= nodes_) return;
-  auto& cell = arrival_[static_cast<std::size_t>(d.tx.to) *
-                            static_cast<std::size_t>(window_) +
+  const std::size_t node = sim::key_offset(d.tx.to, base_);
+  if (node >= static_cast<std::size_t>(nodes_)) return;
+  auto& cell = arrival_[node * static_cast<std::size_t>(window_) +
                         static_cast<std::size_t>(d.tx.packet)];
   if (cell == kNeverArrived || d.received < cell) cell = d.received;
 }

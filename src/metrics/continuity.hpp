@@ -33,10 +33,10 @@ using sim::Slot;
 
 class ContinuityRecorder final : public sim::DeliveryObserver {
  public:
-  /// Tracks nodes [0, nodes) and packets [0, window). Charges `ledger`,
-  /// when non-null, before allocating.
+  /// Tracks nodes [base, base + nodes) and packets [0, window); queries
+  /// take global keys. Charges `ledger`, when non-null, before allocating.
   ContinuityRecorder(NodeKey nodes, PacketId window,
-                     util::BudgetLedger* ledger = nullptr);
+                     util::BudgetLedger* ledger = nullptr, NodeKey base = 0);
 
   void on_delivery(const Delivery& d) override;
 
@@ -79,11 +79,12 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
 
  private:
   const Slot* row(NodeKey node) const {
-    return arrival_.data() +
-           static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
+    return arrival_.data() + static_cast<std::size_t>(node - base_) *
+                                 static_cast<std::size_t>(window_);
   }
 
   PacketId window_;
+  NodeKey base_;
   NodeKey nodes_;
   /// Flat [node][packet] minimum-arrival matrix, stride window_.
   std::vector<Slot> arrival_;

@@ -9,9 +9,10 @@
 namespace streamcast::metrics {
 
 DelayRecorder::DelayRecorder(NodeKey nodes, PacketId window,
-                             util::BudgetLedger* ledger)
-    : window_(window) {
+                             util::BudgetLedger* ledger, NodeKey base)
+    : window_(window), base_(base) {
   assert(nodes >= 1);
+  assert(base >= 0);
   assert(window >= 1);
   const std::size_t cells =
       static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window);
@@ -28,8 +29,8 @@ DelayRecorder::DelayRecorder(NodeKey nodes, PacketId window,
 
 void DelayRecorder::on_delivery(const Delivery& d) {
   if (d.tx.packet >= window_) return;
-  if (d.tx.to >= nodes()) return;
-  const auto node = static_cast<std::size_t>(d.tx.to);
+  const std::size_t node = sim::key_offset(d.tx.to, base_);
+  if (node >= missing_.size()) return;
   auto& cell = delta_[node * static_cast<std::size_t>(window_) +
                       static_cast<std::size_t>(d.tx.packet)];
   if (cell != kNoDelta) return;  // the first delivery stands
@@ -66,7 +67,7 @@ void DelayRecorder::arrivals(NodeKey node, std::vector<Slot>& row) const {
 std::optional<Slot> DelayRecorder::playback_delay(NodeKey node) const {
   if (!complete(node)) return std::nullopt;
   // a = max(0, max_j (recv(j) - j)): playback never starts before slot 0.
-  return std::max<Slot>(0, best_[static_cast<std::size_t>(node)]);
+  return std::max<Slot>(0, best_[local(node)]);
 }
 
 // lint: allow(hot-path-alloc) — a query result, built once per call

@@ -11,6 +11,10 @@
 // delta, so a(i) is O(1) and every arrival slot is still exact
 // (arrival = packet + delta). The matrix is charged against an optional
 // util::BudgetLedger before it is allocated (DESIGN.md §11).
+//
+// A recorder covers one contiguous key range [base, base + nodes): a
+// sharded run gives each shard's recorder only the keys its clusters own
+// (DESIGN.md §14). Rows are indexed by key − base; queries take global keys.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +40,12 @@ inline constexpr std::int32_t kNoDelta =
 
 class DelayRecorder final : public sim::DeliveryObserver {
  public:
-  /// Tracks nodes [0, nodes) and packets [0, window). Deliveries outside the
-  /// window are ignored (the schemes stream forever; the window is where we
-  /// measure). Charges `ledger`, when non-null, before allocating.
+  /// Tracks nodes [base, base + nodes) and packets [0, window). Deliveries
+  /// outside either range are ignored (the schemes stream forever; the
+  /// window is where we measure). Charges `ledger`, when non-null, before
+  /// allocating.
   DelayRecorder(NodeKey nodes, PacketId window,
-                util::BudgetLedger* ledger = nullptr);
+                util::BudgetLedger* ledger = nullptr, NodeKey base = 0);
 
   void on_delivery(const Delivery& d) override;
 
@@ -53,7 +58,7 @@ class DelayRecorder final : public sim::DeliveryObserver {
 
   /// True iff node received every packet in the window.
   bool complete(NodeKey node) const {
-    return missing_[static_cast<std::size_t>(node)] == 0;
+    return missing_[local(node)] == 0;
   }
 
   /// Playback delay a(node); nullopt until the node's window is complete.
@@ -71,12 +76,15 @@ class DelayRecorder final : public sim::DeliveryObserver {
   NodeKey nodes() const { return static_cast<NodeKey>(missing_.size()); }
 
  private:
+  std::size_t local(NodeKey node) const {
+    return static_cast<std::size_t>(node - base_);
+  }
   const std::int32_t* row(NodeKey node) const {
-    return delta_.data() +
-           static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
+    return delta_.data() + local(node) * static_cast<std::size_t>(window_);
   }
 
   PacketId window_;
+  NodeKey base_;
   /// Flat [node][packet] arrival-delta matrix, stride window_.
   std::vector<std::int32_t> delta_;
   std::vector<PacketId> missing_;  // packets still unseen per node

@@ -8,9 +8,10 @@
 namespace streamcast::metrics {
 
 NeighborRecorder::NeighborRecorder(NodeKey nodes, int width,
-                                   util::BudgetLedger* ledger)
-    : width_(static_cast<std::size_t>(width)) {
+                                   util::BudgetLedger* ledger, NodeKey base)
+    : base_(base), width_(static_cast<std::size_t>(width)) {
   assert(nodes >= 1);
+  assert(base >= 0);
   if (width < 1) throw std::invalid_argument("neighbor row width < 1");
   const auto span = static_cast<std::size_t>(nodes);
   if (ledger != nullptr) {
@@ -24,8 +25,8 @@ NeighborRecorder::NeighborRecorder(NodeKey nodes, int width,
 }
 
 void NeighborRecorder::insert(NodeKey node, NodeKey partner) {
-  if (node < 0 || static_cast<std::size_t>(node) >= used_.size()) return;
-  const auto key = static_cast<std::size_t>(node);
+  const std::size_t key = sim::key_offset(node, base_);
+  if (key >= used_.size()) return;
   std::uint32_t& used = used_[key];
   NodeKey* row = inline_.get() + key * width_;
   const std::size_t in_row = std::min<std::size_t>(used, width_);

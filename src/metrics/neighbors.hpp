@@ -9,6 +9,11 @@
 // overlay's degree. The inline rows are charged against an optional
 // util::BudgetLedger before they are allocated; overflow rows are
 // degree-bounded, not node-bounded, and are not charged.
+//
+// Like DelayRecorder, a recorder covers one contiguous key range
+// [base, base + nodes): rows are indexed by key − base, queries take global
+// keys, and a partner outside the range is still counted by its in-range
+// peer.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +33,17 @@ class NeighborRecorder final : public sim::DeliveryObserver {
   /// Inline partners per node: multi-tree's 2d for d <= 4 without a spill.
   static constexpr int kInlineWidth = 8;
 
+  /// Tracks nodes [base, base + nodes); deliveries touching no tracked key
+  /// are ignored.
   explicit NeighborRecorder(NodeKey nodes, int width = kInlineWidth,
-                            util::BudgetLedger* ledger = nullptr);
+                            util::BudgetLedger* ledger = nullptr,
+                            NodeKey base = 0);
 
   void on_delivery(const Delivery& d) override;
 
   /// Distinct nodes this node sent to or received from.
   std::size_t count(NodeKey node) const {
-    return used_[static_cast<std::size_t>(node)];
+    return used_[static_cast<std::size_t>(node - base_)];
   }
 
   /// Max / mean neighbor count over nodes [from, to] inclusive.
@@ -45,6 +53,7 @@ class NeighborRecorder final : public sim::DeliveryObserver {
  private:
   void insert(NodeKey node, NodeKey partner);
 
+  NodeKey base_;
   std::size_t width_;
   /// Flat [node][width_] partner ids. Only the first min(used, width_)
   /// entries of a row are ever read, so rows are left uninitialized.

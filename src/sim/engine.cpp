@@ -41,7 +41,18 @@ Engine::Engine(const net::Topology& topology, Protocol& protocol,
       protocol_(protocol),
       options_(options),
       arena_(options.budget, "sim/ring-arena") {
-  const auto n = static_cast<std::size_t>(topology_.size());
+  const NodeKey size = topology_.size();
+  const NodeKey span = options_.node_span == 0 ? size : options_.node_span;
+  if (options_.node_base < 0 || span < 0 ||
+      options_.node_base > size - span) {
+    throw std::invalid_argument("engine key range outside the topology");
+  }
+  base_ = options_.node_base;
+  span_ = static_cast<std::uint32_t>(span);
+  dest_base_ = options_.router != nullptr ? 0 : base_;
+  dest_span_ =
+      options_.router != nullptr ? static_cast<std::uint32_t>(size) : span_;
+  const auto n = static_cast<std::size_t>(span_);
   charge("sim/capacity-epochs",
          2 * n * (sizeof(Slot) + sizeof(std::int32_t)));
   send_epoch_.assign(n, Slot{-1});
@@ -123,8 +134,7 @@ bool Engine::seen_before(NodeKey node, PacketId packet) {
   }
   const auto word = static_cast<std::size_t>(packet >> 6);
   if (word >= seen_stride_) grow_seen(word);
-  auto& bits =
-      seen_words_[static_cast<std::size_t>(node) * seen_stride_ + word];
+  auto& bits = seen_words_[local(node) * seen_stride_ + word];
   const std::uint64_t mask = std::uint64_t{1} << (packet & 63);
   const bool seen = (bits & mask) != 0;
   bits |= mask;
@@ -132,7 +142,9 @@ bool Engine::seen_before(NodeKey node, PacketId packet) {
 }
 
 void Engine::deliver_one(Slot t, const Delivery& d) {
-  const auto to = static_cast<std::size_t>(d.tx.to);
+  // Phase 1 and post() admit only owned destinations into this path.
+  assert(key_offset(d.tx.to, base_) < span_);
+  const std::size_t to = local(d.tx.to);
   if (recv_epoch_[to] != t) {
     recv_epoch_[to] = t;
     recv_count_[to] = 0;
@@ -153,6 +165,10 @@ void Engine::deliver_one(Slot t, const Delivery& d) {
 }
 
 void Engine::post(const Delivery& d) {
+  if (key_offset(d.tx.to, base_) >= span_) {
+    violation("post: destination outside the engine's key range", d.received,
+              d.tx);
+  }
   if (d.received >= now_) {
     // Ring invariant: size > (arrival distance from now), so co-resident
     // same-bucket deliveries always share an arrival slot.
@@ -180,13 +196,13 @@ void Engine::step() {
   tx_scratch_.clear();
   protocol_.transmit(t, tx_scratch_);
   for (const Tx& tx : tx_scratch_) {
-    if (tx.from < 0 || tx.from >= topology_.size() || tx.to < 0 ||
-        tx.to >= topology_.size()) {
+    if (key_offset(tx.from, base_) >= span_ ||
+        key_offset(tx.to, dest_base_) >= dest_span_) {
       violation("node key out of range", t, tx);
     }
     if (tx.from == tx.to) violation("self transmission", t, tx);
     if (tx.packet < 0) violation("negative packet id", t, tx);
-    const auto from = static_cast<std::size_t>(tx.from);
+    const std::size_t from = local(tx.from);
     if (send_epoch_[from] != t) {
       send_epoch_[from] = t;
       send_count_[from] = 0;

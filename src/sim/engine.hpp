@@ -42,7 +42,9 @@
 // (sender-side validation, capacity charges, loss consultation, and stats
 // all happen first), and post() lets the owning shard inject them — into
 // the ring for future slots, or via the late path for the final slot of the
-// epoch that just ran.
+// epoch that just ran. A shard's engine owns only its clusters' key range
+// (EngineOptions::node_base/node_span), so S shards hold one topology's
+// worth of per-node state between them, not S copies.
 #pragma once
 
 #include <cstddef>
@@ -110,6 +112,14 @@ struct EngineOptions {
   /// Cross-shard router; null = every transmission stays local (the serial
   /// pump). Must outlive the engine.
   TxRouter* router = nullptr;
+  /// Owned key range [node_base, node_base + node_span): per-node state is
+  /// sized to it and indexed by key − node_base, and a send from a key
+  /// outside it is a ProtocolViolation. Without a router, destinations must
+  /// lie in it too; with one, any topology key may be a destination (the
+  /// router diverts foreign keys before they reach the ring). node_span ==
+  /// 0 = the whole topology (node_base must then be 0).
+  NodeKey node_base = 0;
+  NodeKey node_span = 0;
 };
 
 struct EngineStats {
@@ -174,10 +184,21 @@ class Engine {
   void grow_seen(std::size_t word);
   bool seen_before(NodeKey node, PacketId packet);
   void charge(const char* component, std::size_t bytes);
+  /// Per-node array index of an owned key.
+  std::size_t local(NodeKey key) const {
+    return static_cast<std::size_t>(key - base_);
+  }
 
   const net::Topology& topology_;
   Protocol& protocol_;
   EngineOptions options_;
+  /// Owned key range (EngineOptions::node_base/node_span, resolved).
+  NodeKey base_ = 0;
+  std::uint32_t span_ = 0;
+  /// Keys a transmission may target: the owned range without a router, the
+  /// whole topology with one.
+  NodeKey dest_base_ = 0;
+  std::uint32_t dest_span_ = 0;
   Slot now_ = 0;
   /// Bump arena for the ring buckets: same-lifetime churny allocations stay
   /// off the general-purpose heap (and off its locks, which matters once
@@ -193,8 +214,9 @@ class Engine {
   // lint: allow(hot-path-alloc) — O(ring size) headers, relaid on growth
   std::vector<util::ArenaVector<Delivery>> ring_;
   std::size_t ring_mask_ = 0;
-  /// Delivered-packet bitmaps for stream ids (< kControlIdBase), all nodes
-  /// in one flat allocation: bit j of node x is word x·stride + (j >> 6).
+  /// Delivered-packet bitmaps for stream ids (< kControlIdBase), all owned
+  /// nodes in one flat allocation: bit j of node x is word
+  /// local(x)·stride + (j >> 6).
   /// The stride is a power of two, re-laid out on demand. One-shot
   /// budget-charged SoA array, released wholesale on re-layout.
   std::vector<std::uint64_t> seen_words_;  // lint: allow(hot-path-alloc)
@@ -210,8 +232,8 @@ class Engine {
   std::vector<Tx> tx_scratch_;  // lint: allow(hot-path-alloc)
   /// Per-node per-slot capacity counters, epoch-stamped and split into
   /// parallel epoch/count arrays (a stale epoch reads as count zero, so no
-  /// per-slot reset pass is needed — DESIGN.md §8). One-shot SoA arrays,
-  /// budget-charged at construction.
+  /// per-slot reset pass is needed — DESIGN.md §8), indexed by local(key).
+  /// One-shot SoA arrays, budget-charged at construction.
   std::vector<Slot> send_epoch_;           // lint: allow(hot-path-alloc)
   std::vector<std::int32_t> send_count_;   // lint: allow(hot-path-alloc)
   std::vector<Slot> recv_epoch_;           // lint: allow(hot-path-alloc)

@@ -19,6 +19,14 @@ using PacketId = std::int64_t;
 using NodeKey = std::int32_t;
 
 inline constexpr NodeKey kNoNode = -1;
+
+/// Offset of `key` into a per-node array that starts at key `base`. A key
+/// below base (negative keys included) wraps past any span, so
+/// `key_offset(key, base) < span` is the whole range check of
+/// [base, base + span) in one unsigned compare.
+inline constexpr std::uint32_t key_offset(NodeKey key, NodeKey base) {
+  return static_cast<std::uint32_t>(key) - static_cast<std::uint32_t>(base);
+}
 inline constexpr PacketId kNoPacket = -1;
 
 /// Packet ids at or above this value are control traffic (FEC parity, repair

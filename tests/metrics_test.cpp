@@ -68,6 +68,30 @@ TEST(DelayRecorder, WorstAndAverageOverRange) {
   EXPECT_EQ(rec.delays(1, 3), (std::vector<Slot>{0, 1, 4}));
 }
 
+TEST(DelayRecorder, KeyRangeIgnoresKeysOutsideAndAnswersByGlobalKey) {
+  // Keys [10, 13): a shard's slice of a larger topology.
+  DelayRecorder rec(/*nodes=*/3, /*window=*/2, /*ledger=*/nullptr,
+                    /*base=*/10);
+  EXPECT_EQ(rec.nodes(), 3);
+  for (const NodeKey foreign : {0, 9, 13, 20}) {
+    rec.on_delivery(make(1, foreign, 0, 0));
+    rec.on_delivery(make(1, foreign, 1, 1));
+  }
+  // node 10: arrivals 0, 1 -> a = 0; node 12: arrivals 3, 2 -> a = 3.
+  rec.on_delivery(make(1, 10, 0, 0));
+  rec.on_delivery(make(1, 10, 1, 1));
+  rec.on_delivery(make(1, 12, 0, 3));
+  rec.on_delivery(make(1, 12, 1, 2));
+  EXPECT_EQ(rec.playback_delay(10), 0);
+  EXPECT_FALSE(rec.complete(11));
+  EXPECT_EQ(rec.playback_delay(11), std::nullopt);
+  EXPECT_EQ(rec.playback_delay(12), 3);
+  EXPECT_EQ(rec.arrival(12, 0), 3);
+  std::vector<Slot> row;
+  rec.arrivals(12, row);
+  EXPECT_EQ(row, (std::vector<Slot>{3, 2}));
+}
+
 TEST(BufferOccupancy, InOrderUnitRateNeedsOnePacket) {
   // Packet j arrives in slot j, playback starts at 0: buffer holds exactly
   // the packet being played.
@@ -125,6 +149,23 @@ TEST(NeighborRecorder, CountsBothDirectionsDistinct) {
   EXPECT_EQ(rec.count(4), 0u);
   EXPECT_EQ(rec.max_count(1, 4), 3u);
   EXPECT_DOUBLE_EQ(rec.mean_count(1, 4), (3.0 + 1.0 + 1.0 + 0.0) / 4.0);
+}
+
+TEST(NeighborRecorder, KeyRangeIgnoresKeysOutsideAndCountsByGlobalKey) {
+  // Keys [10, 13), narrow rows so the range also covers the spill path.
+  NeighborRecorder rec(/*nodes=*/3, /*width=*/1, /*ledger=*/nullptr,
+                       /*base=*/10);
+  rec.on_delivery(make(0, 9, 0, 0));    // no tracked key
+  rec.on_delivery(make(13, 20, 0, 0));  // no tracked key
+  rec.on_delivery(make(9, 10, 0, 0));   // foreign partner of 10
+  rec.on_delivery(make(10, 13, 1, 1));  // foreign partner of 10
+  rec.on_delivery(make(10, 12, 2, 2));
+  rec.on_delivery(make(12, 10, 3, 3));  // repeat pair
+  EXPECT_EQ(rec.count(10), 3u);
+  EXPECT_EQ(rec.count(11), 0u);
+  EXPECT_EQ(rec.count(12), 1u);
+  EXPECT_EQ(rec.max_count(10, 12), 3u);
+  EXPECT_DOUBLE_EQ(rec.mean_count(10, 12), 4.0 / 3.0);
 }
 
 TEST(NeighborRecorder, MatchesSetModelOnRandomDeliveries) {

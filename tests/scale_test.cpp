@@ -189,6 +189,18 @@ TEST(StructuredNodeAt, InvertsStructuredPositionEverywhere) {
 
 // --- closed-form replay ----------------------------------------------------
 
+/// A replay-eligible structured config. Audited configs are never
+/// replay-eligible, so audit is off whatever the build's default (the
+/// `audit` preset turns it on).
+SessionConfig replay_config(NodeKey n, int d,
+                            multitree::StreamMode mode =
+                                multitree::StreamMode::kPreRecorded) {
+  SessionConfig cfg{
+      .scheme = Scheme::kMultiTreeStructured, .n = n, .d = d, .mode = mode};
+  cfg.audit = false;
+  return cfg;
+}
+
 QosReport run_pumped(SessionConfig cfg) {
   cfg.scale.allow_replay = false;
   return StreamingSession(cfg).run();
@@ -205,9 +217,7 @@ TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
     for (const int d : {1, 2, 3, 4, 5}) {
       for (const auto mode : {multitree::StreamMode::kPreRecorded,
                               multitree::StreamMode::kLivePrebuffered}) {
-        SessionConfig cfg{
-            .scheme = Scheme::kMultiTreeStructured, .n = n, .d = d,
-            .mode = mode};
+        const SessionConfig cfg = replay_config(n, d, mode);
         const std::string pump =
             core::serialize(run_pumped(cfg));
         const std::string replay = core::serialize(run_replayed(cfg));
@@ -220,14 +230,14 @@ TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
 }
 
 TEST(Replay, HonorsExplicitWindow) {
-  SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 3};
+  SessionConfig cfg = replay_config(40, 3);
   cfg.window = 30;
   EXPECT_EQ(core::serialize(run_pumped(cfg)),
             core::serialize(run_replayed(cfg)));
 }
 
 TEST(Replay, EligibilityGates) {
-  SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 100, .d = 3};
+  const SessionConfig cfg = replay_config(100, 3);
   EXPECT_TRUE(StreamingSession::replay_eligible(cfg));
 
   SessionConfig greedy = cfg;
@@ -261,7 +271,7 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
   // the same order as pipeline aggregation — so the summaries agree
   // exactly, not just within epsilon.
   for (const NodeKey n : {40, 121}) {
-    SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = n, .d = 3};
+    const SessionConfig cfg = replay_config(n, 3);
     SessionConfig sim_cfg = cfg;
     sim_cfg.scale.allow_replay = false;
     const core::ScaleRunResult simulated =
@@ -293,7 +303,7 @@ TEST(Replay, ThresholdRoutesAutomatically) {
   // Below the replay threshold run() pumps; at/above it run() replays.
   // Both must agree bytewise, so the routing is observable only through
   // the summary's replayed flag.
-  SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 200, .d = 2};
+  SessionConfig cfg = replay_config(200, 2);
   cfg.scale.replay_threshold = 100;
   const core::ScaleRunResult routed = StreamingSession(cfg).run_scale();
   EXPECT_TRUE(routed.summary.replayed);

@@ -2,10 +2,12 @@
 // the merged QosReport, trace, audit verdicts, and semantic engine totals at
 // every shard count must equal the shards == 1 run byte-for-byte, across
 // shard counts that divide the cluster count, exceed it, and straddle it
-// (K < S and K not divisible by S), for audited, lossy, and live-pipelined
-// cells. Also runs under the tsan preset: the epoch barrier, the mailbox
-// exchange, and the per-shard arenas must be clean under
-// ThreadSanitizer, not just correct.
+// (K < S and K not divisible by S), for reliable, lossy, and live-pipelined
+// cells, each run unaudited and audited (the auditor of every shard is sized
+// to that shard's key range, and must be clean without moving a byte). Also
+// pins that per-shard state shrinks with the shard count, and runs under the
+// tsan preset: the epoch barrier, the mailbox exchange, and the per-shard
+// arenas must be clean under ThreadSanitizer, not just correct.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,8 +45,7 @@ SessionConfig base_config(int clusters) {
   config.clusters = clusters;
   config.big_d = 3;
   config.t_c = 4;
-  config.audit = false;  // per-cell choice; the audit preset default would
-                         // wrongly audit the lossy and live cells
+  config.audit = false;  // each test chooses; the audit preset defaults on
   return config;
 }
 
@@ -77,13 +78,15 @@ class LeafOnlyLoss final : public sim::ErasureOracle {
 
 struct Cell {
   const char* name;
-  bool audit = false;
+  /// Every receiver must complete its window (audited runs then require
+  /// it too); the lossy and live cells count incomplete receivers instead.
+  bool complete = false;
   bool lossy = false;
   multitree::StreamMode mode = multitree::StreamMode::kPreRecorded;
 };
 
 constexpr Cell kCells[] = {
-    {.name = "audited", .audit = true},
+    {.name = "reliable", .complete = true},
     {.name = "lossy", .lossy = true},
     {.name = "live-pipelined",
      .mode = multitree::StreamMode::kLivePipelined},
@@ -94,7 +97,7 @@ ShardOptions cell_options(const Cell& cell, const SessionConfig& config,
   ShardOptions opts;
   opts.shards = shards;
   opts.mode = cell.mode;
-  opts.skip_incomplete = !cell.audit;
+  opts.skip_incomplete = !cell.complete;
   opts.trace = trace;
   if (cell.lossy) {
     const NodeKey n = config.n;
@@ -112,9 +115,11 @@ ShardOptions shard_opts(int shards) {
   return opts;
 }
 
-std::string describe(const Cell& cell, int clusters, int shards) {
+std::string describe(const Cell& cell, bool audit, int clusters,
+                     int shards) {
   std::ostringstream os;
-  os << cell.name << " K=" << clusters << " shards=" << shards;
+  os << cell.name << (audit ? " audited" : "") << " K=" << clusters
+     << " shards=" << shards;
   return os.str();
 }
 
@@ -135,7 +140,6 @@ TEST(ShardMerge, ByteIdenticalAcrossShardCounts) {
   for (const Cell& cell : kCells) {
     for (const int clusters : kClusterCounts) {
       SessionConfig config = base_config(clusters);
-      config.audit = cell.audit;
 
       NodeKey baseline_incomplete = 0;
       ShardMetrics baseline_metrics;
@@ -144,28 +148,33 @@ TEST(ShardMerge, ByteIdenticalAcrossShardCounts) {
           &baseline_incomplete);
       const std::string golden = core::serialize(baseline);
 
-      for (const int shards : kShardCounts) {
-        if (shards == 1) continue;
-        NodeKey incomplete = 0;
-        ShardMetrics metrics;
-        const QosReport report = run_multicluster_sharded(
-            config, cell_options(cell, config, shards), &metrics,
-            &incomplete);
-        const std::string label = describe(cell, clusters, shards);
-        EXPECT_EQ(core::serialize(report), golden) << label;
-        EXPECT_EQ(incomplete, baseline_incomplete) << label;
-        // Semantic engine totals merge to the serial figures; allocation
-        // counters legitimately differ (one arena/ring per shard).
-        EXPECT_EQ(metrics.stats.transmissions,
-                  baseline_metrics.stats.transmissions)
-            << label;
-        EXPECT_EQ(metrics.stats.deliveries, baseline_metrics.stats.deliveries)
-            << label;
-        EXPECT_EQ(metrics.stats.drops, baseline_metrics.stats.drops) << label;
-        EXPECT_EQ(metrics.stats.duplicate_deliveries,
-                  baseline_metrics.stats.duplicate_deliveries)
-            << label;
-        EXPECT_EQ(metrics.shards, std::min(shards, clusters)) << label;
+      for (const bool audit : {false, true}) {
+        config.audit = audit;
+        for (const int shards : kShardCounts) {
+          if (shards == 1 && !audit) continue;
+          NodeKey incomplete = 0;
+          ShardMetrics metrics;
+          const QosReport report = run_multicluster_sharded(
+              config, cell_options(cell, config, shards), &metrics,
+              &incomplete);
+          const std::string label = describe(cell, audit, clusters, shards);
+          EXPECT_EQ(core::serialize(report), golden) << label;
+          EXPECT_EQ(incomplete, baseline_incomplete) << label;
+          // Semantic engine totals merge to the serial figures; allocation
+          // counters legitimately differ (one arena/ring per shard).
+          EXPECT_EQ(metrics.stats.transmissions,
+                    baseline_metrics.stats.transmissions)
+              << label;
+          EXPECT_EQ(metrics.stats.deliveries,
+                    baseline_metrics.stats.deliveries)
+              << label;
+          EXPECT_EQ(metrics.stats.drops, baseline_metrics.stats.drops)
+              << label;
+          EXPECT_EQ(metrics.stats.duplicate_deliveries,
+                    baseline_metrics.stats.duplicate_deliveries)
+              << label;
+          EXPECT_EQ(metrics.shards, std::min(shards, clusters)) << label;
+        }
       }
     }
   }
@@ -174,7 +183,6 @@ TEST(ShardMerge, ByteIdenticalAcrossShardCounts) {
 TEST(ShardMerge, TraceMergesCanonically) {
   for (const Cell& cell : kCells) {
     SessionConfig config = base_config(5);
-    config.audit = cell.audit;
 
     sim::Trace serial_trace;
     ShardMetrics serial_metrics;
@@ -187,12 +195,16 @@ TEST(ShardMerge, TraceMergesCanonically) {
               serial_metrics.stats.deliveries)
         << cell.name;
 
-    for (const int shards : {2, 3, 8}) {
-      sim::Trace trace;
-      run_multicluster_sharded(config,
-                               cell_options(cell, config, shards, &trace));
-      EXPECT_EQ(trace_text(trace), golden)
-          << describe(cell, 5, shards);
+    for (const bool audit : {false, true}) {
+      config.audit = audit;
+      for (const int shards : {1, 2, 3, 8}) {
+        if (shards == 1 && !audit) continue;
+        sim::Trace trace;
+        run_multicluster_sharded(config,
+                                 cell_options(cell, config, shards, &trace));
+        EXPECT_EQ(trace_text(trace), golden)
+            << describe(cell, audit, 5, shards);
+      }
     }
   }
 }
@@ -234,6 +246,29 @@ TEST(ShardMerge, ArenaCountersSurfaceInMergedStats) {
   EXPECT_GT(metrics.pump_s, 0.0);
   EXPECT_GE(metrics.construct_s, 0.0);
   EXPECT_GE(metrics.merge_s, 0.0);
+}
+
+TEST(ShardMerge, PerShardStateShrinksWithShardCount) {
+  // Each shard sizes its engine state and recorders to the keys of its own
+  // clusters, so at 4 shards the largest shard holds about a quarter of
+  // the serial footprint; half leaves room for the ring arena's chunking.
+  // The long window makes the per-node recorder rows, not the ring arena,
+  // the bulk of the footprint, so a shard that sized them to the whole
+  // topology would hold about as much as the serial run.
+  SessionConfig config = base_config(16);
+  config.n = 63;
+  config.window = 512;
+  ShardMetrics serial;
+  ShardMetrics sharded;
+  const QosReport golden =
+      run_multicluster_sharded(config, shard_opts(1), &serial);
+  const QosReport report =
+      run_multicluster_sharded(config, shard_opts(4), &sharded);
+  EXPECT_EQ(core::serialize(report), core::serialize(golden));
+  ASSERT_GT(serial.ledger_peak_bytes, 0u);
+  EXPECT_LE(2 * sharded.ledger_peak_bytes, serial.ledger_peak_bytes)
+      << "4 shards: " << sharded.ledger_peak_bytes
+      << " bytes, 1 shard: " << serial.ledger_peak_bytes << " bytes";
 }
 
 TEST(ShardMerge, RejectsInvalidSessionShardCount) {

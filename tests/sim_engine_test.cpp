@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -125,6 +126,36 @@ TEST(Engine, OutOfRangeKeyRejected) {
   proto.at(0, tx(0, 9, 0));
   Engine engine(topo, proto);
   EXPECT_THROW(engine.run_until(1), ProtocolViolation);
+}
+
+TEST(Engine, KeyRangeRejectsSendsFromOutsideIt) {
+  // Two clusters of 2: keys 0..4 are cluster 0 (S, S_0, S'_0, 2 receivers),
+  // keys 5..8 cluster 1. An engine owning cluster 1 alone.
+  net::ClusteredTopology topo({{.n_receivers = 2}, {.n_receivers = 2}},
+                              /*big_d=*/3, /*small_d=*/2, /*t_c=*/5);
+  const NodeKey base = topo.super_node(1);
+  const EngineOptions range{.node_base = base,
+                            .node_span = topo.size() - base};
+  {
+    Scripted proto;
+    proto.at(0, tx(topo.super_node(1), topo.local_root(1), 0));
+    Engine engine(topo, proto, range);
+    engine.run_until(1);
+    EXPECT_EQ(proto.delivered.size(), 1u);
+  }
+  for (const NodeKey from : {NodeKey{0}, base - 1, topo.size(), NodeKey{-1}}) {
+    Scripted proto;
+    proto.at(0, tx(from, topo.local_root(1), 0));
+    Engine engine(topo, proto, range);
+    EXPECT_THROW(engine.run_until(1), ProtocolViolation) << "from " << from;
+  }
+  EXPECT_THROW(
+      {
+        Scripted proto;
+        Engine engine(topo, proto,
+                      EngineOptions{.node_base = base, .node_span = 5});
+      },
+      std::invalid_argument);
 }
 
 TEST(Engine, DuplicateDeliveryRejectedByDefault) {
