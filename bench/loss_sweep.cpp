@@ -66,7 +66,7 @@ int main() {
       cfg.loss.seed = 0x10557 + static_cast<std::uint64_t>(p * 1000);
       // Stalls are measured against the lossless playback delay: a zero
       // count means loss cost no extra startup delay at all.
-      cfg.loss.playback_start = plain.worst_delay;
+      cfg.startup.fixed_start = plain.worst_delay;
       const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
 
       if (!r.loss.all_gap_free) {

@@ -6,8 +6,8 @@
 #include <string_view>
 
 #include "src/loss/model.hpp"
-#include "src/loss/recovery.hpp"
 #include "src/multitree/protocol.hpp"
+#include "src/policy/recovery.hpp"
 #include "src/policy/startup.hpp"
 #include "src/scale/options.hpp"
 #include "src/sim/packet.hpp"
@@ -53,16 +53,16 @@ struct LossConfig {
   loss::GilbertElliottLoss::Params ge{};
   /// Seed for the erasure PRNG; runs reproduce bit-for-bit.
   std::uint64_t seed = 0x5eed;
-  /// How gaps are repaired (see loss::RecoveryProtocol).
-  loss::RecoveryMode recovery = loss::RecoveryMode::kNack;
-  /// Recovery policy registry entry (policy::recovery_policies()): "none",
-  /// "nack", "xor-parity", or "streaming-code". Empty routes through the
-  /// legacy `recovery` enum above.
-  std::string recovery_policy{};
+  /// Named by sessionbench; drop with the next benchmark PR.
+  policy::InertSelector recovery{};
+  /// How gaps are repaired: the recovery policy registry entry
+  /// (policy::recovery_policies()) — "none", "nack", "xor-parity", or
+  /// "streaming-code".
+  std::string recovery_policy = "nack";
   /// Badr–Lui–Khisti streaming-code parameters (recovery_policy ==
   /// "streaming-code"): decode delay T and correctable burst B.
   policy::StreamingCodeOptions code{};
-  /// Data packets per XOR parity packet (recovery == kFec).
+  /// Data packets per XOR parity packet (recovery_policy == "xor-parity").
   int fec_window = 8;
   /// Capacity headroom for repair traffic on top of the paper's exactly-
   /// provisioned links (net::ProvisionedTopology). Unused at loss rate 0.
@@ -71,9 +71,6 @@ struct LossConfig {
   /// Extra slots past the reliable horizon the session may simulate while
   /// waiting for every receiver's gap-free prefix to reach the window.
   Slot max_drain = 4096;
-  /// Playback start slot for the continuity metrics; -1 = use the run's
-  /// worst playback delay (so a reliable run reports zero stalls).
-  Slot playback_start = -1;
 };
 
 /// Compile-time default for SessionConfig::audit: true when the library is
@@ -119,10 +116,9 @@ struct SessionConfig {
   LossConfig loss{};
 
   /// Playback startup policy for the continuity metrics (DESIGN.md §15):
-  /// when playback starts at each receiver. The default ("fixed") is the
-  /// historical behavior — LossConfig::playback_start, else the run's
-  /// worst playback delay — and is byte-identical to the pre-policy
-  /// pipeline.
+  /// when playback starts at each receiver — the playback delay of the
+  /// paper's delay/buffer tradeoff. The default ("fixed") starts at
+  /// StartupOptions::fixed_start, else at the run's worst playback delay.
   policy::StartupOptions startup{};
 
   /// Million-node scale path (DESIGN.md §11): thresholds for the streaming

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "src/metrics/buffers.hpp"
-#include "src/policy/registry.hpp"
 #include "src/scale/sketch.hpp"
 
 namespace streamcast::core {
@@ -61,9 +59,7 @@ RunPipeline::RunPipeline(net::Topology& topology, sim::Protocol& protocol,
                          loss::RecoveryProtocol* recovery)
     : ledger_(util::MemoryBudget{observers.scale.budget_bytes}),
       scale_options_(observers.scale),
-      engine_(topology, protocol,
-              sim::EngineOptions{.packet_window_hint = observers.window,
-                                 .budget = &ledger_}),
+      engine_(topology, protocol, sim::EngineOptions{.budget = &ledger_}),
       observers_(topology, observers, &ledger_),
       recovery_(recovery),
       window_(observers.window) {
@@ -75,6 +71,9 @@ RunPipeline::RunPipeline(net::Topology& topology, sim::Protocol& protocol,
 }
 
 void RunPipeline::run(Slot horizon, DrainPolicy drain) {
+  // The protocols send packet ids up to the horizon, so the duplicate
+  // bitmap is laid out for all of them up front.
+  engine_.reserve_packet_ids(horizon);
   engine_.run_until(horizon);
   if (recovery_ != nullptr && drain.max_drain > 0) {
     // Drain: keep simulating in small chunks until every window packet at
@@ -186,13 +185,11 @@ namespace {
 /// the recorder, so the context must not outlive this call stack.
 policy::StartupContext make_startup_context(
     const metrics::ContinuityRecorder& continuity, NodeKey node,
-    PacketId window, Slot end, Slot worst_delay, Slot fixed_start,
-    std::int64_t drops) {
+    PacketId window, Slot end, Slot worst_delay, std::int64_t drops) {
   policy::StartupContext ctx;
   ctx.window = window;
   ctx.horizon = end;
   ctx.worst_delay = worst_delay;
-  ctx.fixed_start = fixed_start;
   const Slot first = continuity.first_arrival(node);
   ctx.first_arrival = first == metrics::kNeverArrived ? end : first;
   ctx.drops = drops;
@@ -209,7 +206,7 @@ policy::StartupContext make_startup_context(
 
 }  // namespace
 
-LossSummary RunPipeline::loss_summary(const LossConfig& loss,
+LossSummary RunPipeline::loss_summary(const LossConfig& /*loss*/,
                                       const policy::StartupPolicy& startup,
                                       NodeKey from, NodeKey to,
                                       Slot worst_delay,
@@ -232,35 +229,19 @@ LossSummary RunPipeline::loss_summary(const LossConfig& loss,
   summary.guard_collisions = rs.guard_collisions;
   summary.unrecoverable = rs.unrecoverable;
 
-  const metrics::ContinuityRecorder* continuity = observers_.continuity();
-  if (continuity != nullptr) {
-    if (startup_out != nullptr) {
-      *startup_out = startup_summary(startup, loss.playback_start, from, to,
-                                     worst_delay);
-    }
-    for (NodeKey x = from; x <= to; ++x) {
-      const policy::StartupContext ctx =
-          make_startup_context(*continuity, x, window_, end_, worst_delay,
-                               loss.playback_start, engine_.stats().drops);
-      const auto cr = continuity->report(x, startup.start_slot(ctx), end_);
-      summary.stalls = std::max(summary.stalls, cr.stalls);
-      summary.stall_slots = std::max(summary.stall_slots, cr.stall_slots);
-      summary.undecodable += cr.undecodable;
-    }
+  if (observers_.continuity() != nullptr) {
+    StartupSummary fold = startup_summary(startup, from, to, worst_delay);
+    summary.stalls = fold.stalls;
+    summary.stall_slots = fold.stall_slots;
+    summary.undecodable = fold.undecodable;
+    if (startup_out != nullptr) *startup_out = std::move(fold);
   }
   return summary;
 }
 
-LossSummary RunPipeline::loss_summary(const LossConfig& loss, NodeKey from,
-                                      NodeKey to, Slot worst_delay) const {
-  const std::unique_ptr<policy::StartupPolicy> fixed =
-      policy::startup_policy("fixed").make(policy::StartupOptions{});
-  return loss_summary(loss, *fixed, from, to, worst_delay);
-}
-
 StartupSummary RunPipeline::startup_summary(
-    const policy::StartupPolicy& startup, Slot fixed_start, NodeKey from,
-    NodeKey to, Slot worst_delay) const {
+    const policy::StartupPolicy& startup, NodeKey from, NodeKey to,
+    Slot worst_delay) const {
   const metrics::ContinuityRecorder* continuity = observers_.continuity();
   if (continuity == nullptr) {
     throw std::logic_error("startup_summary requires a continuity recorder");
@@ -273,7 +254,7 @@ StartupSummary RunPipeline::startup_summary(
   for (NodeKey x = from; x <= to; ++x) {
     const policy::StartupContext ctx =
         make_startup_context(*continuity, x, window_, end_, worst_delay,
-                             fixed_start, engine_.stats().drops);
+                             engine_.stats().drops);
     const Slot start = startup.start_slot(ctx);
     const auto cr = continuity->report(x, start, end_);
     summary.max_start = std::max(summary.max_start, start);

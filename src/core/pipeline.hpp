@@ -180,22 +180,19 @@ class RunPipeline {
   /// [from, to] into a LossSummary, replaying playback from the slot the
   /// startup policy picks per receiver. Requires the lossy wiring.
   /// `startup_out`, when given, additionally receives the startup fold
-  /// (chosen starts, stalls from them, finish slots).
+  /// (chosen starts, stalls from them, finish slots). The LossConfig
+  /// parameter is unused; named by sessionbench; drop with the next
+  /// benchmark PR.
   LossSummary loss_summary(const LossConfig& loss,
                            const policy::StartupPolicy& startup, NodeKey from,
                            NodeKey to, Slot worst_delay,
                            StartupSummary* startup_out = nullptr) const;
 
-  /// Historical spelling: the fixed startup policy (the configured
-  /// playback_start slot, else the worst delay).
-  LossSummary loss_summary(const LossConfig& loss, NodeKey from, NodeKey to,
-                           Slot worst_delay) const;
-
-  /// The startup fold alone, for reliable runs observed with a continuity
-  /// recorder (ObserverSpec::continuity on a lossless pipeline). Requires
-  /// the continuity recorder.
+  /// The startup fold alone: each receiver's start slot and the playback
+  /// replayed from it. Requires a continuity recorder (the lossy wiring, or
+  /// ObserverSpec::continuity on a lossless pipeline).
   StartupSummary startup_summary(const policy::StartupPolicy& startup,
-                                 Slot fixed_start, NodeKey from, NodeKey to,
+                                 NodeKey from, NodeKey to,
                                  Slot worst_delay) const;
 
   ObserverStack& observers() { return observers_; }

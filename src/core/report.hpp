@@ -47,7 +47,7 @@ struct LossSummary {
   /// Every receiver holds the gap-free prefix [0, window) at the end.
   bool all_gap_free = false;
   /// Worst per-receiver stall count / stalled slots when playback starts at
-  /// LossConfig::playback_start (continuity metrics).
+  /// the startup policy's slot (continuity metrics).
   int stalls = 0;
   sim::Slot stall_slots = 0;
   /// Window packets (summed over receivers) never delivered by the horizon.

@@ -3,7 +3,6 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "src/core/pipeline.hpp"
@@ -45,10 +44,8 @@ StreamingSession::StreamingSession(SessionConfig config)
   // Both policy names resolve through the registries (throwing on unknown
   // names), and the scheme x recovery combination is validated against the
   // capability flags — never by switching on the policy name.
-  const policy::RecoveryPolicyDescriptor& rd = policy::recovery_policy(
-      config_.loss.recovery_policy.empty()
-          ? std::string_view(policy::recovery_policy_name(config_.loss.recovery))
-          : std::string_view(config_.loss.recovery_policy));
+  const policy::RecoveryPolicyDescriptor& rd =
+      policy::recovery_policy(config_.loss.recovery_policy);
   if (rd.caps.bounded_recovery &&
       !scheme::descriptor(config_.scheme).caps.bounded_recovery_policies) {
     throw std::invalid_argument(
@@ -107,8 +104,7 @@ QosReport run_reliable(const SessionConfig& config, scale::ScaleSummary* summary
                                          .receivers = cluster_receivers(n)},
                                         nullptr, summary);
   if (startup != nullptr && startup_out != nullptr) {
-    *startup_out = pipeline.startup_summary(
-        *startup, config.loss.playback_start, 1, n, report.worst_delay);
+    *startup_out = pipeline.startup_summary(*startup, 1, n, report.worst_delay);
   }
   return report;
 }
@@ -205,7 +201,6 @@ LossRunResult StreamingSession::run_lossy() const {
       loss::make_model(lc.model, lc.rate, lc.ge, lc.seed);
 
   loss::RecoveryOptions opts;
-  opts.mode = lc.recovery;
   opts.policy = lc.recovery_policy;
   opts.fec_window = lc.fec_window;
   opts.code = lc.code;

@@ -114,17 +114,17 @@ struct Shard {
         router(topo, lo_in, hi_in),
         loss(opts.make_loss ? opts.make_loss(index) : nullptr),
         receivers(owned_receivers(topo, lo_in, hi_in)),
-        // The protocols send packet ids up to the horizon, so the duplicate
-        // bitmap is laid out for all of them up front.
         engine(topo, protocol,
-               sim::EngineOptions{.packet_window_hint = horizon,
-                                  .budget = &ledger,
+               sim::EngineOptions{.budget = &ledger,
                                   .router = &router,
                                   .node_base = keys.base,
                                   .node_span = keys.span}),
         stack(topo, shard_spec(base, keys, receivers,
                                opts.trace != nullptr ? &trace : nullptr),
               &ledger) {
+    // The protocols send packet ids up to the horizon, so the duplicate
+    // bitmap is laid out for all of them up front.
+    engine.reserve_packet_ids(horizon);
     if (loss != nullptr) engine.set_loss_model(loss.get());
     stack.attach(engine, nullptr);
   }

@@ -22,27 +22,14 @@ std::uint64_t flight_key(NodeKey to, PacketId p) {
 RecoveryProtocol::RecoveryProtocol(const net::Topology& topology,
                                    sim::Protocol& inner,
                                    RecoveryOptions options)
-    : topology_(topology), inner_(inner), options_(options) {
+    : topology_(topology), inner_(inner), options_(std::move(options)) {
   const auto n = static_cast<std::size_t>(topology_.size());
   trackers_.resize(n);
   senders_seen_.resize(n);
   gates_.resize(n);
   send_used_.resize(n);
   if (options_.fec_window < 1) options_.fec_window = 1;
-
-  policy::RecoveryPolicyOptions po;
-  po.fec_window = options_.fec_window;
-  po.nack_delay = options_.nack_delay;
-  po.dense_links = options_.dense_links;
-  po.gap_timeout = options_.gap_timeout;
-  po.sweep_tag = options_.sweep_tag;
-  po.repair_horizon = options_.repair_horizon;
-  po.source = options_.source;
-  po.code = options_.code;
-  const std::string name = options_.policy.empty()
-                               ? policy::recovery_policy_name(options_.mode)
-                               : options_.policy;
-  policy_ = policy::recovery_policy(name).make(po);
+  policy_ = policy::recovery_policy(options_.policy).make(options_);
   policy_->bind(*this);
 }
 
@@ -53,7 +40,7 @@ Slot RecoveryProtocol::link_latency(NodeKey from, NodeKey to) const {
 }
 
 bool RecoveryProtocol::holds(NodeKey node, PacketId p) const {
-  if (node == options_.source) return true;
+  if (node == topology_.source()) return true;
   return trackers_[static_cast<std::size_t>(node)].has(p);
 }
 

@@ -26,9 +26,8 @@
 // (src/policy/registry.hpp): `none`, `nack`, `xor-parity`, or
 // `streaming-code`. RecoveryProtocol is the policy's RecoveryHost: it owns
 // the trackers, the in-order gate, and the residual-capacity accounting,
-// and fires the policy hooks at the exact program points the historical
-// RecoveryMode switch sat at (byte-identical for the legacy strategies,
-// golden-pinned by tests/policy_layer_test.cpp).
+// and fires the policy hooks at fixed program points (golden-pinned by
+// tests/policy_layer_test.cpp).
 //
 // At loss rate 0 nothing is suppressed, repaired, or held back, and the
 // engine-visible schedule is bit-identical to running the wrapped protocol
@@ -37,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -54,53 +52,10 @@ using sim::PacketId;
 using sim::Slot;
 using sim::Tx;
 
-// The strategy types migrated to src/policy; these aliases keep the
-// historical loss:: spellings working for existing callers.
-using policy::RecoveryMode;
+// The strategy types live in src/policy; these aliases keep the loss::
+// spellings the host's callers use.
+using policy::RecoveryOptions;
 using policy::RecoveryStats;
-using policy::recovery_mode_name;
-
-struct RecoveryOptions {
-  /// Legacy strategy selector, honored when `policy` is empty (the
-  /// registry maps it via policy::recovery_policy_name).
-  RecoveryMode mode = RecoveryMode::kNack;
-  /// Recovery policy registry entry ("none", "nack", "xor-parity",
-  /// "streaming-code"); empty selects by `mode`.
-  std::string policy{};
-  /// Data packets per XOR parity packet (xor-parity).
-  int fec_window = 8;
-  /// Extra slots added to the modeled NACK round trip before a repair is
-  /// eligible to be sent.
-  Slot nack_delay = 0;
-  /// Enable sender-side skip detection for newest-only forwarders (chain,
-  /// single tree): every packet id flows over every link, so an id jump on a
-  /// link is a gap the receiver will never otherwise see. Must stay off for
-  /// schemes whose per-link id streams are strided (multi-tree) or demand-
-  /// driven (hypercube) — there an id jump is normal.
-  bool dense_links = false;
-  /// Age (in slots) after which a still-open receive gap is NACKed from the
-  /// source even though no transmission of it was ever seen failing. Needed
-  /// for demand-driven schemes (hypercube) where a packet that missed its
-  /// consumption deadline is simply never offered again; must exceed the
-  /// scheme's worst inter-arrival skew so it cannot fire on a lossless run.
-  /// -1 disables the sweep. Repairs issued here carry `sweep_tag`, so only
-  /// enable it for schemes whose deliver() tolerates that tag.
-  Slot gap_timeout = -1;
-  /// Substream tag carried by aged-gap sweep repairs (default 0, the
-  /// historical behavior). Schemes whose tags partition the stream into
-  /// substreams (dyntree trees) should pass a tag no live delivery uses,
-  /// so a pending backfill never holds live substreams back in the
-  /// in-order gate.
-  std::int32_t sweep_tag = 0;
-  /// Sweep relevance horizon: gaps whose id trails the current slot by
-  /// more than this are abandoned instead of repaired (the repair could
-  /// only land past the packet's play deadline). -1 = repair regardless.
-  Slot repair_horizon = -1;
-  /// Node that originates the stream and implicitly holds every packet.
-  NodeKey source = 0;
-  /// Badr–Lui–Khisti code parameters (streaming-code).
-  policy::StreamingCodeOptions code{};
-};
 
 class RecoveryProtocol final : public sim::Protocol,
                                public sim::DeliveryObserver,
@@ -141,12 +96,12 @@ class RecoveryProtocol final : public sim::Protocol,
   /// fate: arrived, or abandoned by the policy (declared unrecoverable).
   /// The drain loop stops on this instead of all_gap_free, so a
   /// delay-bounded policy that gives a gap up ends the run instead of
-  /// burning max_drain; the legacy policies never abandon, making the two
-  /// predicates — and the drain behavior — identical (byte-pinned).
+  /// burning max_drain; none, nack and xor-parity never abandon, making
+  /// the two predicates — and the drain behavior — identical for them.
   bool gaps_resolved(NodeKey from, NodeKey to, PacketId window) const;
 
   /// True when the active policy has no undecided erasure and no channel
-  /// use in flight. Always false for the legacy policies.
+  /// use in flight. Always false for none, nack and xor-parity.
   bool recovery_exhausted() const { return policy_->exhausted(); }
 
   const RecoveryStats& stats() const { return stats_; }
@@ -159,6 +114,7 @@ class RecoveryProtocol final : public sim::Protocol,
   // policy::RecoveryHost
   NodeKey node_count() const override;
   Slot link_latency(NodeKey from, NodeKey to) const override;
+  NodeKey source() const override { return topology_.source(); }
   bool holds(NodeKey node, PacketId p) const override;
   bool has_arrived(NodeKey node, PacketId p) const override;
   PacketId gap_free_prefix(NodeKey node) const override;

@@ -55,12 +55,11 @@ Slot ContinuityRecorder::first_arrival(NodeKey node) const {
   return first;
 }
 
-ContinuityRecorder::Report ContinuityRecorder::report(NodeKey node,
-                                                      Slot playback_start,
+ContinuityRecorder::Report ContinuityRecorder::report(NodeKey node, Slot start,
                                                       Slot horizon) const {
   const Slot* arrivals = row(node);
   Report r;
-  Slot t = playback_start;
+  Slot t = start;
   PacketId gap_run = 0;
   for (PacketId j = 0; j < window_; ++j) {
     const Slot got = arrivals[static_cast<std::size_t>(j)];

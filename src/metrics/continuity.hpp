@@ -5,11 +5,11 @@
 // The paper's playback delay a(i) is the smallest start slot such that
 // playing packet j in slot a(i)+j never stalls. Under loss a receiver that
 // commits to some start slot may stall anyway: the ContinuityRecorder
-// replays that decision post-hoc. Playback starts at `playback_start`,
+// replays that decision post-hoc. Playback starts at slot `start`,
 // consumes one packet per slot, stalls while the next packet has not yet
 // arrived, and skips packets that never arrive by the horizon (undecodable
 // gaps). A run with zero stalls and zero undecodable packets is exactly a
-// run whose playback delay is <= playback_start — the bridge between the
+// run whose playback delay is <= start — the bridge between the
 // paper's delay metric and the stall metrics reported here (DESIGN.md,
 // "Loss & Recovery").
 //
@@ -55,9 +55,9 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
     Slot finish_slot = 0;
   };
 
-  /// Replays playback for `node` starting at slot `playback_start` with
-  /// everything that arrived before `horizon`.
-  Report report(NodeKey node, Slot playback_start, Slot horizon) const;
+  /// Replays playback for `node` starting at slot `start` with everything
+  /// that arrived before `horizon`.
+  Report report(NodeKey node, Slot start, Slot horizon) const;
 
   /// First arrival slot of packet p at node, or metrics::kNeverArrived.
   Slot arrival(NodeKey node, PacketId p) const;

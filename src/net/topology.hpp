@@ -22,6 +22,9 @@ class Topology {
   /// Total number of node keys, source(s) included. Valid keys: [0, size()).
   virtual NodeKey size() const = 0;
 
+  /// The node that originates the stream: key 0 in every topology.
+  NodeKey source() const { return 0; }
+
   /// Slots a transmission occupies, >= 1. (1 means same-slot receipt.)
   virtual Slot latency(NodeKey from, NodeKey to) const = 0;
 
@@ -86,7 +89,6 @@ class ClusteredTopology final : public Topology {
   int recv_capacity(NodeKey n) const override;
 
   int clusters() const { return static_cast<int>(specs_.size()); }
-  NodeKey source() const { return 0; }
   NodeKey super_node(int cluster) const;        // S_i
   NodeKey local_root(int cluster) const;        // S'_i
   NodeKey receiver(int cluster, NodeKey local_id) const;  // local_id in 1..n_i

@@ -22,7 +22,7 @@ Slot NackPolicy::nack_due(const RecoveryHost& host, Slot detect_slot,
                           NodeKey from, NodeKey to) const {
   // The receiver notices the gap in `detect_slot`, NACKs the sender (one
   // reverse-link trip), and the repair may leave the following slot.
-  return detect_slot + host.link_latency(to, from) + 1 + options().nack_delay;
+  return detect_slot + host.link_latency(to, from) + 1;
 }
 
 void NackPolicy::schedule_repair(RecoveryHost& host, NodeKey to, PacketId p,
@@ -85,8 +85,9 @@ void NackPolicy::emit(RecoveryHost& host, Slot t, std::vector<Tx>& out) {
 
 void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
   const NodeKey size = host.node_count();
+  const NodeKey source = host.source();
   for (NodeKey v = 0; v < size; ++v) {
-    if (v == options().source) continue;
+    if (v == source) continue;
     const loss::SequenceTracker& tracker = host.tracker(v);
     if (tracker.ahead_empty()) continue;
     PacketId expected = tracker.gap_free_prefix();
@@ -108,7 +109,7 @@ void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
         if (t - it->second < options().gap_timeout) continue;
         if (host.in_flight(v, g) || pending_.contains(key)) continue;
         host.mark_outstanding(v, options().sweep_tag, g);
-        schedule_repair(host, v, g, options().source, options().sweep_tag, t);
+        schedule_repair(host, v, g, source, options().sweep_tag, t);
       }
       expected = a + 1;
     });
@@ -136,7 +137,7 @@ void NackPolicy::emit_repairs(RecoveryHost& host, Slot t,
     std::vector<NodeKey> candidates;
     candidates.push_back(repair.sender);
     for (const NodeKey s : host.senders_seen(to)) candidates.push_back(s);
-    candidates.push_back(options().source);
+    candidates.push_back(host.source());
     for (const NodeKey s : candidates) {
       if (s == to || s < 0) continue;
       if (!host.holds(s, packet)) continue;

@@ -1,13 +1,12 @@
 // NACK recovery policy: gap-driven retransmission after a modeled NACK
-// round trip, extracted verbatim from the historical RecoveryMode::kNack
-// arm of loss::RecoveryProtocol (byte-identical, golden-pinned).
+// round trip (byte-identical to the pre-registry host, golden-pinned).
 //
 // Every detected gap — an engine drop report, a suppressed causal send, a
 // skipped id on a dense link, or an aged gap on a demand-driven scheme —
 // schedules a retransmission from a node that holds the packet, after the
-// reverse-link trip plus options().nack_delay, riding only on residual
-// send/receive capacity. Lost repairs are re-NACKed, so every gap
-// eventually closes (exhausted() is therefore always false).
+// reverse-link trip, riding only on residual send/receive capacity. Lost
+// repairs are re-NACKed, so every gap eventually closes (exhausted() is
+// therefore always false).
 #pragma once
 
 #include <cstdint>

@@ -2,30 +2,6 @@
 
 namespace streamcast::policy {
 
-const char* recovery_mode_name(RecoveryMode m) {
-  switch (m) {
-    case RecoveryMode::kNone:
-      return "none";
-    case RecoveryMode::kNack:
-      return "nack";
-    case RecoveryMode::kFec:
-      return "fec";
-  }
-  return "?";
-}
-
-const char* recovery_policy_name(RecoveryMode m) {
-  switch (m) {
-    case RecoveryMode::kNone:
-      return "none";
-    case RecoveryMode::kNack:
-      return "nack";
-    case RecoveryMode::kFec:
-      return "xor-parity";
-  }
-  return "?";
-}
-
 double RecoveryStats::redundancy_overhead() const {
   if (data_transmissions == 0) return 0.0;
   return static_cast<double>(retransmissions + parity_transmissions) /

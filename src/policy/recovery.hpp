@@ -1,14 +1,11 @@
 // Recovery-policy strategy interface (DESIGN.md §15).
 //
-// loss::RecoveryProtocol used to be one monolithic class switching on a
-// RecoveryMode enum. The generic machinery — sequence tracking, causality
-// and redundancy suppression, in-order hand-off, residual-capacity
-// accounting — is mode-independent; only the *repair strategy* differed.
-// This header splits that strategy out: RecoveryProtocol stays the host
-// (it owns trackers, the in-order gate, and capacity bookkeeping, exposed
-// through the RecoveryHost interface below) and delegates every
-// strategy-specific decision to a RecoveryPolicy looked up in the policy
-// registry (policy/registry.hpp):
+// The generic loss machinery — sequence tracking, causality and redundancy
+// suppression, in-order hand-off, residual-capacity accounting — lives in
+// loss::RecoveryProtocol, the host (it owns trackers, the in-order gate,
+// and capacity bookkeeping, exposed through the RecoveryHost interface
+// below). Every strategy-specific decision is delegated to a RecoveryPolicy
+// looked up by name in the policy registry (policy/registry.hpp):
 //
 //   none           no repair; gaps stay open and are accounted.
 //   nack           gap-driven retransmission after a modeled NACK trip.
@@ -17,16 +14,16 @@
 //                  (arXiv:1303.4370): rate T/(T+B) per link, corrects any
 //                  erasure burst of length <= B within decode delay T.
 //
-// The extraction is byte-invisible for the legacy strategies: every hook
-// below fires at exactly the program point the old mode switch sat at, and
-// the golden parity suite (tests/policy_layer_test.cpp) pins the serialized
-// reports to pre-extraction captures.
+// The golden parity suite (tests/policy_layer_test.cpp) pins the serialized
+// reports of none, nack and xor-parity to captures taken before the
+// strategies were extracted from the host.
 //
 // This module sits just above simbase in the layer DAG: a policy sees the
 // world only through RecoveryHost, never through net:: or the engine.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/loss/sequence_tracker.hpp"
@@ -40,16 +37,9 @@ using sim::PacketId;
 using sim::Slot;
 using sim::Tx;
 
-/// Legacy strategy selector, kept for the pre-registry configuration
-/// surface (LossConfig::recovery); the registry maps it to policy names via
-/// recovery_policy_name(). New code should select policies by name.
-enum class RecoveryMode { kNone, kNack, kFec };
-
-/// Historical labels ("none" / "nack" / "fec"), used by bench output.
-const char* recovery_mode_name(RecoveryMode m);
-
-/// Registry entry name for a legacy mode ("none" / "nack" / "xor-parity").
-const char* recovery_policy_name(RecoveryMode m);
+/// Selects nothing: the type of two inert fields, LossConfig::recovery and
+/// RecoveryOptions::mode. Recovery is selected by registry name only.
+struct InertSelector {};
 
 /// Badr–Lui–Khisti streaming-code parameters. The code spends one parity
 /// channel use per T/B data uses (rate T/(T+B)) and corrects any erasure
@@ -62,16 +52,30 @@ struct StreamingCodeOptions {
   PacketId burst = 4;
 };
 
-/// Strategy knobs, filled by the host from loss::RecoveryOptions.
-struct RecoveryPolicyOptions {
+/// Recovery configuration: the registry entry that repairs gaps and the
+/// strategy knobs. Handed to loss::RecoveryProtocol, which passes it on to
+/// the policy it builds.
+struct RecoveryOptions {
+  /// Named by sessionbench; drop with the next benchmark PR.
+  InertSelector mode{};
+  /// Recovery policy registry entry: "none", "nack", "xor-parity", or
+  /// "streaming-code".
+  std::string policy = "nack";
   /// Data packets per XOR parity packet (xor-parity).
   int fec_window = 8;
-  /// Extra slots added to the modeled NACK round trip (nack).
-  Slot nack_delay = 0;
-  /// Sender-side skip detection for newest-only forwarders (nack).
+  /// Sender-side skip detection for newest-only forwarders (nack,
+  /// streaming-code): every packet id flows over every link (chain, single
+  /// tree), so an id jump on a link is a gap the receiver will never
+  /// otherwise see. Must stay off for schemes whose per-link id streams
+  /// are strided (multi-tree) or demand-driven (hypercube).
   bool dense_links = false;
-  /// Age after which a still-open gap is NACKed from the source; -1
-  /// disables the sweep (nack).
+  /// Age (in slots) after which a still-open receive gap is NACKed from the
+  /// source even though no transmission of it was ever seen failing (nack).
+  /// Needed for demand-driven schemes (hypercube), where a packet that
+  /// missed its consumption deadline is simply never offered again; must
+  /// exceed the scheme's worst inter-arrival skew so it cannot fire on a
+  /// lossless run. -1 disables the sweep. Sweep repairs carry `sweep_tag`,
+  /// so enable it only for schemes whose deliver() tolerates that tag.
   Slot gap_timeout = -1;
   /// Substream tag carried by aged-gap sweep repairs. The default (0)
   /// gates the receiver's tag-0 substream behind the repair — the right
@@ -83,10 +87,8 @@ struct RecoveryPolicyOptions {
   /// this many slots behind the current slot is abandoned instead of
   /// repaired — the repair could only land after the packet's play
   /// deadline, so it would be pure congestion. -1 repairs regardless of
-  /// age (the historical behavior).
+  /// age.
   Slot repair_horizon = -1;
-  /// Node that originates the stream and implicitly holds every packet.
-  NodeKey source = 0;
   /// Streaming-code parameters (streaming-code).
   StreamingCodeOptions code{};
 };
@@ -132,6 +134,8 @@ class RecoveryHost {
 
   virtual NodeKey node_count() const = 0;
   virtual Slot link_latency(NodeKey from, NodeKey to) const = 0;
+  /// The node that originates the stream (the topology's source).
+  virtual NodeKey source() const = 0;
 
   /// True when `node` holds packet p — source-aware (the stream source
   /// implicitly holds everything).
@@ -184,8 +188,7 @@ class RecoveryHost {
 /// and stay movable/testable in isolation.
 class RecoveryPolicy {
  public:
-  explicit RecoveryPolicy(const RecoveryPolicyOptions& options)
-      : options_(options) {}
+  explicit RecoveryPolicy(const RecoveryOptions& options) : options_(options) {}
   virtual ~RecoveryPolicy() = default;
 
   virtual const char* name() const = 0;
@@ -235,10 +238,10 @@ class RecoveryPolicy {
   virtual bool exhausted() const { return false; }
 
  protected:
-  const RecoveryPolicyOptions& options() const { return options_; }
+  const RecoveryOptions& options() const { return options_; }
 
  private:
-  RecoveryPolicyOptions options_;
+  RecoveryOptions options_;
 };
 
 }  // namespace streamcast::policy

@@ -23,8 +23,7 @@ class NonePolicy final : public RecoveryPolicy {
 };
 
 template <typename P>
-std::unique_ptr<RecoveryPolicy> make_recovery(
-    const RecoveryPolicyOptions& options) {
+std::unique_ptr<RecoveryPolicy> make_recovery(const RecoveryOptions& options) {
   return std::make_unique<P>(options);
 }
 
@@ -41,8 +40,7 @@ constexpr std::array<RecoveryPolicyDescriptor, 4> kRecoveryRegistry{{
      .make = &make_recovery<StreamingCodePolicy>},
 }};
 
-/// The historical startup: the configured slot, else the run's worst
-/// playback delay.
+/// The configured slot, else the run's worst playback delay.
 class FixedStartup final : public StartupPolicy {
  public:
   using StartupPolicy::StartupPolicy;
@@ -53,9 +51,8 @@ class FixedStartup final : public StartupPolicy {
 };
 
 /// Start a small prebuffer after the receiver's first arrival, doubling it
-/// until the replay meets the stall budget; capped at the fixed slot (a
-/// replay from the fixed slot is the historical behavior, so the ramp can
-/// only start earlier, never later).
+/// until the replay meets the stall budget; capped at the fixed slot (what
+/// `fixed` reports, so the ramp can only start earlier, never later).
 class ProgressiveRampStartup final : public StartupPolicy {
  public:
   using StartupPolicy::StartupPolicy;

@@ -1,9 +1,8 @@
 // Static policy registries (DESIGN.md §15): one descriptor per recovery
 // strategy and per startup strategy, mirroring the scheme registry one
-// layer up. The session validates configurations against the capability
-// flags instead of switching on policy names; the policy-dispatch lint
-// (tools/lint_ast.py) fails CI on a `case Recovery...` arm anywhere outside
-// src/policy/, so dispatch stays centralized here by construction.
+// layer up. Policies are selected by name only (there is no strategy
+// enum to switch on), and the session validates configurations against
+// the capability flags instead of switching on policy names.
 #pragma once
 
 #include <memory>
@@ -35,7 +34,7 @@ struct RecoveryPolicyCaps {
 struct RecoveryPolicyDescriptor {
   const char* name;
   RecoveryPolicyCaps caps;
-  std::unique_ptr<RecoveryPolicy> (*make)(const RecoveryPolicyOptions&);
+  std::unique_ptr<RecoveryPolicy> (*make)(const RecoveryOptions&);
 };
 
 /// Every registered recovery policy: none, nack, xor-parity,

@@ -1,15 +1,14 @@
 // Startup-policy strategy interface (DESIGN.md §15).
 //
-// The continuity metrics replay playback from a start slot; historically
-// that slot was hard-wired to LossConfig::playback_start (or the run's
-// worst playback delay). A StartupPolicy chooses the slot per receiver
-// from what the run observed — letting the delay/smoothness tradeoff of
-// Joshi–Kochman–Wornell (arXiv:1405.3697) be explored along the startup
-// axis too:
+// The continuity metrics replay playback from a start slot — the playback
+// delay of the paper's delay/buffer tradeoff. A StartupPolicy chooses the
+// slot per receiver, from configuration or from what the run observed —
+// letting the delay/smoothness tradeoff of Joshi–Kochman–Wornell
+// (arXiv:1405.3697) be explored along the startup axis too:
 //
-//   fixed             the historical behavior: the configured slot, else
-//                     the run's worst playback delay. Byte-identical to
-//                     the pre-policy pipeline (golden-pinned).
+//   fixed             the configured slot (StartupOptions::fixed_start),
+//                     else the run's worst playback delay, so a reliable
+//                     run reports zero stalls (golden-pinned).
 //   progressive-ramp  start a small prebuffer after the receiver's first
 //                     arrival and double it until a replay meets the
 //                     stall budget; never later than `fixed`.
@@ -39,6 +38,9 @@ using sim::Slot;
 struct StartupOptions {
   /// Registry entry: "fixed", "progressive-ramp", or "loss-adaptive".
   std::string policy = "fixed";
+  /// The fixed policy's start slot, and the adaptive policies' never-
+  /// later-than cap; -1 = the run's worst playback delay.
+  Slot fixed_start = -1;
   /// progressive-ramp: initial prebuffer (slots after the first arrival)
   /// and the stall budget a candidate start must meet.
   Slot ramp_initial = 1;
@@ -65,8 +67,6 @@ struct StartupContext {
   Slot horizon = 0;
   /// The run's worst playback delay over complete receivers.
   Slot worst_delay = 0;
-  /// LossConfig::playback_start (-1 = unset).
-  Slot fixed_start = -1;
   /// Earliest arrival of any window packet at this receiver (horizon when
   /// nothing arrived).
   Slot first_arrival = 0;
@@ -87,11 +87,11 @@ class StartupPolicy {
   virtual Slot start_slot(const StartupContext& ctx) const = 0;
 
  protected:
-  /// The historical fixed slot: the configured one, else the run's worst
-  /// playback delay. Adaptive policies use it as their never-later-than
-  /// cap, so they can only improve on the fixed startup.
-  static Slot fixed_slot(const StartupContext& ctx) {
-    return ctx.fixed_start >= 0 ? ctx.fixed_start : ctx.worst_delay;
+  /// The fixed slot: the configured one, else the run's worst playback
+  /// delay. Adaptive policies use it as their never-later-than cap, so they
+  /// can only improve on the fixed startup.
+  Slot fixed_slot(const StartupContext& ctx) const {
+    return options_.fixed_start >= 0 ? options_.fixed_start : ctx.worst_delay;
   }
 
   const StartupOptions& options() const { return options_; }

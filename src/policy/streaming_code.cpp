@@ -15,7 +15,7 @@ constexpr PacketId kMaxSkipRange = 4096;
 
 }  // namespace
 
-StreamingCodePolicy::StreamingCodePolicy(const RecoveryPolicyOptions& options)
+StreamingCodePolicy::StreamingCodePolicy(const RecoveryOptions& options)
     : RecoveryPolicy(options),
       decode_delay_(std::max<Slot>(1, options.code.decode_delay)),
       max_burst_(std::max<PacketId>(1, options.code.burst)) {

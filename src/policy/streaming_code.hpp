@@ -54,7 +54,7 @@ namespace streamcast::policy {
 
 class StreamingCodePolicy final : public RecoveryPolicy {
  public:
-  explicit StreamingCodePolicy(const RecoveryPolicyOptions& options);
+  explicit StreamingCodePolicy(const RecoveryOptions& options);
 
   const char* name() const override { return "streaming-code"; }
 

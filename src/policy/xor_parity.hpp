@@ -1,6 +1,5 @@
 // XOR-parity FEC policy: per link, one parity packet per fec_window data
-// packets, extracted verbatim from the historical RecoveryMode::kFec arm of
-// loss::RecoveryProtocol (byte-identical, golden-pinned).
+// packets (byte-identical to the pre-registry host, golden-pinned).
 //
 // A single erasure inside a window decodes at the receiver without a round
 // trip (XOR of the parity with the w-1 received packets). Parity ids live
@@ -19,7 +18,7 @@ namespace streamcast::policy {
 
 class XorParityPolicy final : public RecoveryPolicy {
  public:
-  explicit XorParityPolicy(const RecoveryPolicyOptions& options)
+  explicit XorParityPolicy(const RecoveryOptions& options)
       : RecoveryPolicy(options) {}
 
   const char* name() const override { return "xor-parity"; }

@@ -9,8 +9,8 @@
 // suite all pick it up by iterating `all()`.
 //
 // Scheme dispatch is centralized in this directory by construction:
-// tools/lint_determinism.py fails CI on a `case Scheme::` arm anywhere
-// outside src/scheme/.
+// tools/lint_ast.py fails CI on a `case Scheme::` arm anywhere outside
+// src/scheme/.
 #pragma once
 
 #include <cstdint>

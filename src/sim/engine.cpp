@@ -59,15 +59,8 @@ Engine::Engine(const net::Topology& topology, Protocol& protocol,
   send_count_.assign(n, 0);
   recv_epoch_.assign(n, Slot{-1});
   recv_count_.assign(n, 0);
-  // Lay the duplicate bitmap out once when the caller knows the packet
-  // range; otherwise start with one word per node and re-layout on demand.
-  const std::size_t hint_words =
-      options_.packet_window_hint > 0
-          ? static_cast<std::size_t>((options_.packet_window_hint + 63) >> 6)
-          : 1;
-  seen_stride_ = std::bit_ceil(hint_words);
-  charge("sim/seen-bitmaps", n * seen_stride_ * sizeof(std::uint64_t));
-  seen_words_.assign(n * seen_stride_, 0);
+  // The duplicate bitmap is laid out by reserve_packet_ids(), or by the
+  // first stream packet when the caller reserves nothing.
   ring_.assign(8, util::ArenaVector<Delivery>(
                       util::ArenaAllocator<Delivery>(arena_)));
   ring_mask_ = ring_.size() - 1;
@@ -106,9 +99,14 @@ void Engine::grow_ring(Slot max_latency) {
   ++stats_.ring_relayouts;
 }
 
-void Engine::grow_seen(std::size_t word) {
+void Engine::reserve_packet_ids(PacketId ids) {
+  const auto words = static_cast<std::size_t>((ids + 63) >> 6);
+  if (words > seen_stride_) layout_seen(words);
+}
+
+void Engine::layout_seen(std::size_t words) {
   const std::size_t n = send_epoch_.size();
-  const std::size_t stride = std::bit_ceil(word + 1);
+  const std::size_t stride = std::bit_ceil(words);
   // Both layouts are live during the copy; charge the new one first (fail
   // fast before allocating), release the old one after the swap.
   charge("sim/seen-bitmaps", n * stride * sizeof(std::uint64_t));
@@ -125,7 +123,6 @@ void Engine::grow_seen(std::size_t word) {
     charged_bytes_ -= old_bytes;
   }
   seen_stride_ = stride;
-  ++stats_.seen_relayouts;
 }
 
 bool Engine::seen_before(NodeKey node, PacketId packet) {
@@ -133,7 +130,10 @@ bool Engine::seen_before(NodeKey node, PacketId packet) {
     return !seen_control_.insert(delivery_key(node, packet)).second;
   }
   const auto word = static_cast<std::size_t>(packet >> 6);
-  if (word >= seen_stride_) grow_seen(word);
+  if (word >= seen_stride_) {
+    if (seen_stride_ > 0) ++stats_.seen_relayouts;
+    layout_seen(word + 1);
+  }
   auto& bits = seen_words_[local(node) * seen_stride_ + word];
   const std::uint64_t mask = std::uint64_t{1} << (packet & 63);
   const bool seen = (bits & mask) != 0;

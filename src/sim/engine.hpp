@@ -101,10 +101,6 @@ struct EngineOptions {
   /// send and negative-id violations always throw: they are memory-safety
   /// guards, not schedule properties.
   bool enforce = true;
-  /// Expected stream-packet id range. Sizes the duplicate bitmap up front so
-  /// the run never pays a mid-run re-layout; 0 starts minimal and grows on
-  /// demand (amortized O(1), exactly as before).
-  PacketId packet_window_hint = 0;
   /// When non-null, every O(N) engine allocation is charged here before it
   /// happens (fail fast with BudgetExceeded, never OOM). Must outlive the
   /// engine.
@@ -140,7 +136,7 @@ struct EngineStats {
   std::int64_t arena_allocations = 0;
   /// In-flight ring re-layouts (a larger link latency appeared mid-run).
   std::int64_t ring_relayouts = 0;
-  /// Duplicate-bitmap re-layouts (packet ids outgrew the window hint).
+  /// Duplicate-bitmap re-layouts (packet ids outgrew the reserved range).
   std::int64_t seen_relayouts = 0;
 };
 
@@ -159,6 +155,11 @@ class Engine {
 
   /// Next slot to simulate.
   Slot now() const { return now_; }
+
+  /// Lays the duplicate bitmap out for stream ids [0, ids) before the run,
+  /// so a run that stays in that range never pays a mid-run re-layout. The
+  /// bitmap only grows.
+  void reserve_packet_ids(PacketId ids);
 
   void add_observer(DeliveryObserver& obs) { observers_.push_back(&obs); }
 
@@ -181,7 +182,7 @@ class Engine {
   void step();
   void deliver_one(Slot t, const Delivery& d);
   void grow_ring(Slot max_latency);
-  void grow_seen(std::size_t word);
+  void layout_seen(std::size_t words);
   bool seen_before(NodeKey node, PacketId packet);
   void charge(const char* component, std::size_t bytes);
   /// Per-node array index of an owned key.

@@ -176,7 +176,7 @@ TEST(AuditGrid, LossyRecoveryRunsStayWithinProvisionedInvariants) {
                     .audit = true};
   fec.loss.model = loss::ErasureKind::kBernoulli;
   fec.loss.rate = 0.05;
-  fec.loss.recovery = loss::RecoveryMode::kFec;
+  fec.loss.recovery_policy = "xor-parity";
   tasks.push_back(fec);
 
   const auto results = sweep_clean(tasks);

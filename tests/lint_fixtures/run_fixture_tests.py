@@ -3,11 +3,9 @@
 
 Each fixture directory contains a `bad/` tree that must produce findings of
 a specific rule in specific files and/or a `clean/` tree that must produce
-none. For every rule whose violation hides behind an alias, a member
-typedef, or a line break, the runner additionally proves the REGEX lint
-misses it: tools/lint_determinism.py must exit 0 on the violating file that
-lint_ast flags. That asymmetry — semantic engine catches, regex engine
-passes — is the contract this whole fixture suite pins down.
+none. The semantic fixtures hide their violation behind an alias, a member
+typedef, or a line break; the textual ones mirror a rule's src/ directory
+scope in their tree (`.../src/rrd/...`).
 
 Exit status: 0 all expectations hold, 1 otherwise.
 """
@@ -21,7 +19,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 LINT_AST = REPO / "tools" / "lint_ast.py"
-LINT_REGEX = REPO / "tools" / "lint_determinism.py"
 
 failures: list[str] = []
 
@@ -57,33 +54,25 @@ def expect_clean(name: str, target: Path, extra: list[str] | None = None):
     check(name, code == 0, out)
 
 
-def expect_regex_misses(name: str, violating_file: Path):
-    code, out = run([str(LINT_REGEX), str(violating_file)])
-    check(name, code == 0,
-          f"regex lint unexpectedly caught it:\n{out}")
+def count_findings(out: str, rule: str) -> int:
+    return sum(f"[{rule}]" in line for line in out.splitlines())
 
 
 def main() -> int:
-    # rng via file-level alias: lint_ast flags the use site, regex cannot.
+    # rng via file-level alias: the use site never spells the engine.
     expect_finding("rng alias: semantic engine flags use.cpp",
                    HERE / "rng_alias" / "bad", "rng", "use.cpp")
-    expect_regex_misses("rng alias: regex lint misses use.cpp",
-                        HERE / "rng_alias" / "bad" / "use.cpp")
     expect_clean("rng alias: util::Prng alias stays clean",
                  HERE / "rng_alias" / "clean")
 
-    # rng via member typedef: second alias shape the regex provably misses.
+    # rng via member typedef: the second alias shape.
     expect_finding("rng member typedef: semantic engine flags use.cpp",
                    HERE / "rng_member_typedef" / "bad", "rng", "use.cpp")
-    expect_regex_misses("rng member typedef: regex lint misses use.cpp",
-                        HERE / "rng_member_typedef" / "bad" / "use.cpp")
 
     # unordered iteration via alias declared in a header.
     expect_finding("unordered alias: semantic engine flags iterate.cpp",
                    HERE / "unordered_alias" / "bad",
                    "unordered-iteration", "iterate.cpp")
-    expect_regex_misses("unordered alias: regex lint misses iterate.cpp",
-                        HERE / "unordered_alias" / "bad" / "iterate.cpp")
     expect_clean("unordered alias: ordered iteration stays clean",
                  HERE / "unordered_alias" / "clean")
 
@@ -91,8 +80,6 @@ def main() -> int:
     expect_finding("sweep capture: multi-line [&] flagged",
                    HERE / "sweep_capture" / "bad",
                    "sweep-capture", "sweep.cpp")
-    expect_regex_misses("sweep capture: regex lint misses multi-line [&]",
-                        HERE / "sweep_capture" / "bad" / "sweep.cpp")
     expect_clean("sweep capture: named captures stay clean",
                  HERE / "sweep_capture" / "clean")
 
@@ -124,16 +111,39 @@ def main() -> int:
     expect_clean("layer DAG: downward includes stay clean",
                  HERE / "layer_dag" / "clean")
 
-    # policy-dispatch: recovery strategy switches stay behind the registry.
-    expect_finding("policy dispatch: case arm flagged outside src/policy",
-                   HERE / "policy_dispatch" / "bad",
-                   "policy-dispatch", "dispatch.cpp")
-    code, out = lint_ast([HERE / "policy_dispatch" / "bad"])
-    check("policy dispatch: every arm and the switch expression flagged",
-          code == 1 and sum("[policy-dispatch]" in line
-                            for line in out.splitlines()) >= 4, out)
-    expect_clean("policy dispatch: src/policy path and allow markers clean",
-                 HERE / "policy_dispatch" / "clean")
+    # rng, textual half: C-library generator calls name no engine type.
+    code, out = lint_ast([HERE / "rng_call" / "bad"])
+    check("rng call: srand() and rand() both flagged",
+          code == 1 and count_findings(out, "rng") == 2, out)
+    expect_clean("rng call: identifiers ending in rand stay clean",
+                 HERE / "rng_call" / "clean")
+
+    # wallclock: every date source, but not the monotonic clock.
+    code, out = lint_ast([HERE / "wallclock" / "bad"])
+    check("wallclock: all five wall-clock reads flagged",
+          code == 1 and count_findings(out, "wallclock") == 5, out)
+    expect_clean("wallclock: steady_clock and stripped mentions stay clean",
+                 HERE / "wallclock" / "clean")
+
+    # raw-thread: construction flagged, static queries and jthread pass.
+    expect_finding("raw thread: std::thread construction flagged",
+                   HERE / "raw_thread" / "bad", "raw-thread", "spawn.cpp")
+    expect_clean("raw thread: jthread + hardware_concurrency stay clean",
+                 HERE / "raw_thread" / "clean")
+
+    # scheme-dispatch: case arms outside src/scheme/, exempt inside it.
+    code, out = lint_ast([HERE / "scheme_dispatch" / "bad"])
+    check("scheme dispatch: both case arms flagged outside src/scheme",
+          code == 1 and count_findings(out, "scheme-dispatch") == 2, out)
+    expect_clean("scheme dispatch: src/scheme path is exempt",
+                 HERE / "scheme_dispatch" / "clean")
+
+    # overlay-seed: literal seeds inside src/rrd and src/dyntree only.
+    code, out = lint_ast([HERE / "overlay_seed" / "bad"])
+    check("overlay seed: decimal, hex and temporary literals flagged",
+          code == 1 and count_findings(out, "overlay-seed") == 3, out)
+    expect_clean("overlay seed: threaded seed in scope, literal outside",
+                 HERE / "overlay_seed" / "clean")
 
     # allow() suppressions silence both rules.
     expect_clean("suppression: allow() markers honored",

@@ -20,7 +20,6 @@
 namespace streamcast {
 namespace {
 
-using loss::RecoveryMode;
 using loss::RecoveryOptions;
 using loss::RecoveryProtocol;
 using loss::SequenceTracker;
@@ -218,8 +217,7 @@ TEST(RecoveryProtocol, NackRepairsSingleDropInOrder) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 5; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, RecoveryOptions{.policy = "nack"});
   DropSpecific model;
   model.drop(1);
   sim::Engine engine(topo, recovery);
@@ -245,8 +243,7 @@ TEST(RecoveryProtocol, LostRepairIsRenacked) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 5; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, RecoveryOptions{.policy = "nack"});
   DropSpecific model;
   model.drop(1, /*times=*/2);  // the data packet AND its first repair
   sim::Engine engine(topo, recovery);
@@ -266,8 +263,7 @@ TEST(RecoveryProtocol, FecDecodesSingleLossWithoutRoundTrip) {
   Scripted inner;
   for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
   RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.mode = RecoveryMode::kFec, .fec_window = 4});
+      topo, inner, RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
   DropSpecific model;
   model.drop(1);
   sim::Engine engine(topo, recovery);
@@ -292,8 +288,7 @@ TEST(RecoveryProtocol, LostParityLeavesWindowUnprotected) {
   Scripted inner;
   for (Slot t = 0; t < 4; ++t) inner.at(t, tx(0, 1, t));
   RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.mode = RecoveryMode::kFec, .fec_window = 4});
+      topo, inner, RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
   DropSpecific model;
   model.drop(1);
   model.drop(sim::kControlIdBase);  // the parity of window [0, 4)
@@ -311,8 +306,7 @@ TEST(RecoveryProtocol, ZeroLossSchedulePassesThroughUntouched) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 6; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, RecoveryOptions{.policy = "nack"});
   sim::Engine engine(topo, recovery);
   engine.add_observer(recovery);
   engine.run_until(8);
@@ -459,7 +453,7 @@ TEST(ContinuityRecorder, StallsGapsAndFinish) {
   // packet 3 never arrives
   arrive(4, 11);
 
-  const auto r = rec.report(1, /*playback_start=*/5, /*horizon=*/20);
+  const auto r = rec.report(1, /*start=*/5, /*horizon=*/20);
   EXPECT_EQ(r.stalls, 1);        // one wait, for packet 2
   EXPECT_EQ(r.stall_slots, 3);   // slots 7, 8, 9
   EXPECT_EQ(r.undecodable, 1);   // packet 3
@@ -473,7 +467,7 @@ TEST(ContinuityRecorder, NoStallWhenEverythingArrivedBeforeStart) {
   for (PacketId p = 0; p < 4; ++p) {
     rec.on_delivery(Delivery{.sent = p, .received = p, .tx = tx(0, 1, p)});
   }
-  const auto r = rec.report(1, /*playback_start=*/4, /*horizon=*/100);
+  const auto r = rec.report(1, /*start=*/4, /*horizon=*/100);
   EXPECT_EQ(r.stalls, 0);
   EXPECT_EQ(r.stall_slots, 0);
   EXPECT_EQ(r.undecodable, 0);
@@ -489,7 +483,7 @@ TEST(ContinuityRecorder, TrailingGapAndAdjacentStalls) {
   arrive(0, 5);
   arrive(1, 7);
   // packets 2 and 3 never arrive: one trailing gap of length 2
-  const auto r = rec.report(1, /*playback_start=*/0, /*horizon=*/50);
+  const auto r = rec.report(1, /*start=*/0, /*horizon=*/50);
   EXPECT_EQ(r.stalls, 2);       // waits for packet 0 and again for packet 1
   EXPECT_EQ(r.stall_slots, 6);  // 5 slots for packet 0, 1 more for packet 1
   EXPECT_EQ(r.undecodable, 2);

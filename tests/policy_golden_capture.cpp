@@ -5,7 +5,7 @@
 // every cell of policy_shard_cells() through run(), serialized with
 // core::serialize(). The committed golden was captured from the tree ONE
 // COMMIT BEFORE the src/policy extraction landed (the monolithic
-// RecoveryProtocol with its RecoveryMode switches), so the parity test
+// RecoveryProtocol with its strategy switches), so the parity test
 // proves the refactor byte-identical. Regenerate only for an intentional
 // behavior change:
 //

@@ -7,7 +7,7 @@
 // through run::run_sweep at two thread counts, and (lossless multicluster)
 // at shard counts 1..3, must reproduce the bytes captured from the
 // PRE-refactor tree (policy_parity_golden.inc) — the monolithic
-// RecoveryProtocol with its RecoveryMode switches and the hard-wired
+// RecoveryProtocol with its strategy switches and the hard-wired
 // playback-start slot.
 #include <gtest/gtest.h>
 
@@ -124,14 +124,6 @@ TEST(PolicyRegistry, RecoveryEntriesAndCaps) {
   EXPECT_TRUE(code.caps.bounded_recovery);
   EXPECT_FALSE(code.caps.closes_silent_gaps);
   EXPECT_THROW(policy::recovery_policy("fountain"), std::invalid_argument);
-  // The legacy enum maps onto registry names (the compatibility seam the
-  // parity cells rely on).
-  EXPECT_STREQ(policy::recovery_policy_name(policy::RecoveryMode::kNone),
-               "none");
-  EXPECT_STREQ(policy::recovery_policy_name(policy::RecoveryMode::kNack),
-               "nack");
-  EXPECT_STREQ(policy::recovery_policy_name(policy::RecoveryMode::kFec),
-               "xor-parity");
 }
 
 TEST(PolicyRegistry, StartupEntriesAndCaps) {
@@ -157,13 +149,11 @@ policy::StartupContext synthetic_context() {
 }
 
 TEST(StartupPolicies, FixedUsesConfiguredSlotElseWorstDelay) {
-  const auto fixed = policy::startup_policy("fixed").make({});
-  auto ctx = synthetic_context();
-  EXPECT_EQ(fixed->start_slot(ctx), 40);
-  ctx.fixed_start = 7;
-  EXPECT_EQ(fixed->start_slot(ctx), 7);
-  ctx.fixed_start = 0;
-  EXPECT_EQ(fixed->start_slot(ctx), 0);
+  const auto& fixed = policy::startup_policy("fixed");
+  const auto ctx = synthetic_context();
+  EXPECT_EQ(fixed.make({})->start_slot(ctx), 40);
+  EXPECT_EQ(fixed.make({.fixed_start = 7})->start_slot(ctx), 7);
+  EXPECT_EQ(fixed.make({.fixed_start = 0})->start_slot(ctx), 0);
 }
 
 TEST(StartupPolicies, ProgressiveRampDoublesUntilBudgetMet) {
@@ -183,8 +173,9 @@ TEST(StartupPolicies, ProgressiveRampDoublesUntilBudgetMet) {
   // budget.
   ctx.replay = [](Slot) { return policy::PlaybackProbe{.stalls = 9}; };
   EXPECT_EQ(ramp->start_slot(ctx), 40);
-  ctx.fixed_start = 12;
-  EXPECT_EQ(ramp->start_slot(ctx), 12);
+  opts.fixed_start = 12;
+  EXPECT_EQ(policy::startup_policy(opts.policy).make(opts)->start_slot(ctx),
+            12);
 }
 
 TEST(StartupPolicies, LossAdaptiveScalesPrebufferWithLossFraction) {
@@ -212,7 +203,11 @@ TEST(PolicySession, UnknownPolicyNamesRejected) {
   SessionConfig cfg{.scheme = Scheme::kChain, .n = 4, .d = 1};
   cfg.loss.recovery_policy = "fountain";
   EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  // An empty name selects nothing: there is no other recovery selector to
+  // fall back to.
   cfg.loss.recovery_policy.clear();
+  EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  cfg.loss.recovery_policy = "nack";
   cfg.startup.policy = "instant";
   EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
   cfg.startup.policy = "fixed";
@@ -261,6 +256,21 @@ TEST(PolicySession, RunStartupReportsRampEarlierThanFixed) {
   EXPECT_EQ(serialize(ramp.qos), serialize(fixed.qos));
 }
 
+TEST(PolicySession, RunStartupFixedSlotBelowWorstDelayStalls) {
+  SessionConfig cfg{.scheme = Scheme::kChain, .n = 10, .d = 1};
+  const Slot worst = StreamingSession(cfg).run().worst_delay;
+  ASSERT_GT(worst, 0);
+  // One slot less playback delay than the schedule needs: the reliable
+  // replay must start exactly there, and the worst receiver must stall.
+  cfg.startup.fixed_start = worst - 1;
+  const StartupRunResult r = StreamingSession(cfg).run_startup();
+  EXPECT_EQ(r.startup.policy, "fixed");
+  EXPECT_EQ(r.startup.max_start, worst - 1);
+  EXPECT_EQ(r.startup.earliest_start, worst - 1);
+  EXPECT_GT(r.startup.stalls, 0);
+  EXPECT_EQ(r.qos.worst_delay, worst);
+}
+
 TEST(PolicySession, LossAdaptiveStartupOnLossyRun) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeGreedy, .n = 15, .d = 2};
   cfg.loss.model = loss::ErasureKind::kBernoulli;
@@ -289,7 +299,7 @@ TEST(ContinuityStartup, StartSlotZeroCountsLeadingWait) {
     rec.on_delivery(
         Delivery{.sent = 4 + p, .received = 4 + p, .tx = data(0, 1, p)});
   }
-  const auto r = rec.report(1, /*playback_start=*/0, /*horizon=*/50);
+  const auto r = rec.report(1, /*start=*/0, /*horizon=*/50);
   EXPECT_EQ(r.stalls, 1);       // one wait for packet 0, then rate-1 flow
   EXPECT_EQ(r.stall_slots, 4);  // slots 0..3
   EXPECT_EQ(r.undecodable, 0);
@@ -306,7 +316,7 @@ TEST(ContinuityStartup, StartBeyondStreamEndPlaysWithoutStalling) {
   // Everything arrived long before the start slot — even one past the
   // horizon: arrivals below the horizon stay playable, so the replay is a
   // pure pass-through ending at start + window.
-  const auto r = rec.report(1, /*playback_start=*/60, /*horizon=*/50);
+  const auto r = rec.report(1, /*start=*/60, /*horizon=*/50);
   EXPECT_EQ(r.stalls, 0);
   EXPECT_EQ(r.stall_slots, 0);
   EXPECT_EQ(r.undecodable, 0);

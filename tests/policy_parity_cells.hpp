@@ -13,9 +13,9 @@
 //
 // Shared between the parity test and the golden-capture utility
 // (policy_golden_capture.cpp), so the cell list cannot drift from the
-// goldens. Only config fields that exist on both sides of the refactor are
-// used: the legacy RecoveryMode enum (mapped to registry names by the new
-// layer) and LossConfig::playback_start (the fixed startup policy's slot).
+// goldens. The cells select recovery by registry name and the playback
+// start through StartupOptions::fixed_start; the ids keep the labels the
+// goldens were captured under.
 #pragma once
 
 #include <string>
@@ -33,20 +33,20 @@ struct PolicyParityCell {
 inline std::vector<PolicyParityCell> policy_parity_cells() {
   std::vector<PolicyParityCell> cells;
 
-  // xor-parity (the legacy RecoveryMode::kFec wiring) across schemes, parity
-  // window sizes, channel models, and fixed playback starts.
+  // xor-parity across schemes, parity window sizes, channel models, and
+  // fixed playback starts.
   {
     SessionConfig fec{.scheme = Scheme::kMultiTreeGreedy, .n = 21, .d = 2};
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.05;
     fec.loss.seed = 0xfec5;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery_policy = "xor-parity";
     cells.push_back({"xor-parity multi-tree/greedy start=worst", fec});
     SessionConfig s0 = fec;
-    s0.loss.playback_start = 0;
+    s0.startup.fixed_start = 0;
     cells.push_back({"xor-parity multi-tree/greedy start=0", s0});
     SessionConfig s5 = fec;
-    s5.loss.playback_start = 5;
+    s5.startup.fixed_start = 5;
     cells.push_back({"xor-parity multi-tree/greedy start=5", s5});
   }
   {
@@ -54,7 +54,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.1;
     fec.loss.seed = 0x0dd5;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery_policy = "xor-parity";
     fec.loss.fec_window = 4;
     cells.push_back({"xor-parity chain fec_window=4", fec});
   }
@@ -63,19 +63,19 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.06;
     fec.loss.seed = 0x51ee;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
-    fec.loss.playback_start = 2;
+    fec.loss.recovery_policy = "xor-parity";
+    fec.startup.fixed_start = 2;
     cells.push_back({"xor-parity single-tree start=2", fec});
   }
   {
     SessionConfig ge{.scheme = Scheme::kMultiTreeGreedy, .n = 21, .d = 2};
     ge.loss.model = loss::ErasureKind::kGilbertElliott;
     ge.loss.seed = 0x6e12;
-    ge.loss.recovery = loss::RecoveryMode::kFec;
+    ge.loss.recovery_policy = "xor-parity";
     cells.push_back({"xor-parity multi-tree/greedy ge", ge});
   }
 
-  // Fixed-startup NACK cells: explicit playback_start values exercise the
+  // Fixed-startup NACK cells: explicit fixed_start values exercise the
   // fixed startup policy's configured-slot branch (instead of the worst-
   // delay default) on both schedule families.
   {
@@ -86,7 +86,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     nk.loss.model = loss::ErasureKind::kBernoulli;
     nk.loss.rate = 0.08;
     nk.loss.seed = 0xd00d;
-    nk.loss.playback_start = 0;
+    nk.startup.fixed_start = 0;
     cells.push_back({"nack multi-tree/structured live-pre start=0", nk});
   }
   {
@@ -94,7 +94,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     nk.loss.model = loss::ErasureKind::kBernoulli;
     nk.loss.rate = 0.08;
     nk.loss.seed = 0xd00d;
-    nk.loss.playback_start = 3;
+    nk.startup.fixed_start = 3;
     cells.push_back({"nack hypercube start=3", nk});
   }
 
@@ -105,7 +105,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     none.loss.model = loss::ErasureKind::kBernoulli;
     none.loss.rate = 0.05;
     none.loss.seed = 0x5eed;
-    none.loss.recovery = loss::RecoveryMode::kNone;
+    none.loss.recovery_policy = "none";
     none.loss.max_drain = 256;
     cells.push_back({"none chain", none});
   }

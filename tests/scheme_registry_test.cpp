@@ -16,6 +16,7 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/core/session.hpp"
+#include "src/policy/registry.hpp"
 #include "src/run/sweep.hpp"
 #include "src/scheme/registry.hpp"
 #include "src/sim/trace.hpp"
@@ -274,6 +275,23 @@ TEST(RunPipeline, DirectUseMatchesSessionAndCarriesTrace) {
   EXPECT_EQ(trace.all().size(), direct.transmissions);
 }
 
+TEST(RunPipeline, ReliableRunsNeverReLayTheDuplicateBitmap) {
+  // Protocols send ids up to the horizon (window + slack), and the pipeline
+  // lays the engine's duplicate bitmap out for all of them before slot 0.
+  for (const scheme::Descriptor& desc : scheme::all()) {
+    const SessionConfig cfg{.scheme = desc.id,
+                            .n = 40,
+                            .d = desc.caps.degree_sweep ? 2 : 1};
+    scheme::Overlay overlay = desc.build(cfg);
+    ObserverSpec spec;
+    spec.window = overlay.window;
+    spec.node_span = cfg.n + 1;
+    RunPipeline pipeline(*overlay.topology, *overlay.protocol, spec);
+    pipeline.run(overlay.window + overlay.slack);
+    EXPECT_EQ(pipeline.engine().stats().seen_relayouts, 0) << desc.name;
+  }
+}
+
 TEST(RunPipeline, LossSummaryRequiresLossyWiring) {
   const SessionConfig cfg{.scheme = Scheme::kChain, .n = 4, .d = 1};
   scheme::Overlay overlay = scheme::descriptor(cfg.scheme).build(cfg);
@@ -282,7 +300,9 @@ TEST(RunPipeline, LossSummaryRequiresLossyWiring) {
   spec.node_span = cfg.n + 1;
   RunPipeline pipeline(*overlay.topology, *overlay.protocol, spec);
   pipeline.run(overlay.window + overlay.slack);
-  EXPECT_THROW((void)pipeline.loss_summary(cfg.loss, 1, cfg.n, 0),
+  const auto fixed =
+      policy::startup_policy(cfg.startup.policy).make(cfg.startup);
+  EXPECT_THROW((void)pipeline.loss_summary(cfg.loss, *fixed, 1, cfg.n, 0),
                std::logic_error);
 }
 

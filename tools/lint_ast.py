@@ -1,23 +1,40 @@
 #!/usr/bin/env python3
-"""AST-grounded semantic lint + module-layer DAG check (DESIGN.md §13).
+"""Determinism + architecture lint, AST-grounded where it matters
+(DESIGN.md §13). The repo's one lint.
 
-tools/lint_determinism.py matches source *text*, so a type alias defeats it:
-`using Rng = std::mt19937; Rng rng;` never spells the banned token on the
-use site, and a range-for over a member whose unordered type lives in a
-header two includes away never matches the same-file declaration regex.
-This lint closes those holes by looking at what names *mean*:
+Semantic rules look at what names *mean*, so a type alias cannot hide a
+violation (`using Rng = std::mt19937; Rng rng;` never spells the banned
+token on the use site):
 
   rng        — a declaration whose CANONICAL type is a std RNG engine
                (std::mt19937 is an alias for mersenne_twister_engine<...>;
                resolving to the canonical spelling means user aliases,
-               `auto`, and member typedefs cannot hide it).
+               `auto`, and member typedefs cannot hide it). The textual
+               half of the rule also flags the engine names themselves,
+               std::random_device, and rand()/srand() calls.
   unordered-iteration — a range-for whose range expression's canonical type
                is std::unordered_{map,set,multimap,multiset}, wherever the
                declaration lives (other file, alias, member typedef).
   sweep-capture — a default-by-reference capture `[&]`/`[&, ...]` anywhere
                inside the argument list of a run::parallel_for or
-               run::run_sweep call, across line breaks (the regex lint only
-               sees same-line captures).
+               run::run_sweep call, across line breaks.
+
+Textual rules (both engines) match comment- and string-stripped source:
+
+  wallclock  — wall-clock reads (system_clock, time(), gettimeofday,
+               localtime/gmtime/ctime, CLOCK_REALTIME). Monotonic
+               steady_clock is allowed: benches may *measure* durations,
+               they may not let the date into results.
+  raw-thread — std::thread construction. Raw threads detach from the sweep
+               runner's join/exception discipline; spawn std::jthread (or
+               go through run::parallel_for). std::thread::
+               hardware_concurrency() is a query, not a spawn, and passes.
+  scheme-dispatch — a `case Scheme::` arm outside src/scheme/. Scheme
+               dispatch lives in the scheme registry; a switch elsewhere
+               silently skips schemes added later.
+  overlay-seed — a util::Prng constructed from a numeric literal inside a
+               randomized-overlay scheme (src/rrd, src/dyntree only).
+               Overlay randomness must flow from SessionConfig::seed.
   layer-dag  — an #include edge that climbs the module-layer DAG declared
                in tools/layers.toml: module A may include module B only if
                A == B or B's rank is strictly lower. Same-rank modules are
@@ -36,31 +53,26 @@ This lint closes those holes by looking at what names *mean*:
                suppression may sit on the line ABOVE the declaration
                (long member declarations cannot fit an 80-column trailing
                comment).
-  policy-dispatch — a `case Recovery...::` arm or a switch over a
-               RecoveryMode expression outside src/policy/: strategy
-               dispatch was extracted behind the policy registry
-               (src/policy/registry.hpp), and a re-inlined switch is a
-               site every future strategy silently misses. Callers route
-               through policy::recovery_policy(name) instead.
 
-Engines (--engine auto|clang|builtin, default auto):
+Directory scopes (scheme-dispatch's exemption, overlay-seed's reach) are
+matched against the path below the innermost `src/` component, so fixture
+trees can mirror them.
+
+Engines for the semantic rules (--engine auto|clang|builtin, default auto):
 
   clang    — libclang (python `clang.cindex`): real canonical types from a
              real parse. CI pins and installs it; see .github/workflows.
   builtin  — no dependencies: a whole-tree alias/typedef table resolved to
              canonical type names, plus paren-balanced scanning for
-             multi-line sweep captures. Strictly stronger than the regex
-             lint on these rules, but an approximation of the clang
+             multi-line sweep captures. An approximation of the clang
              engine; `auto` picks clang when importable and prints a
              visible warning when it has to fall back.
-
-The layer-dag and hot-path-alloc rules are textual and run under both
-engines.
 
 Suppress a deliberate use with a same-line comment:  // lint: allow(<rule>)
 
 Usage: tools/lint_ast.py [dir|file ...] [--layers tools/layers.toml]
                          [--engine auto|clang|builtin]
+       (default roots: src tests bench examples)
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.
 """
 
@@ -71,9 +83,6 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from lint_determinism import ALLOW, strip_comments_and_strings  # noqa: E402
-
 try:
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
@@ -81,7 +90,7 @@ except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
-DEFAULT_DIRS = ["src", "tests", "bench"]
+DEFAULT_DIRS = ["src", "tests", "bench", "examples"]
 
 # The std <random> engine names (all alias templates except random_device)
 # and the class templates they canonicalize to. Both spellings are banned:
@@ -101,6 +110,43 @@ RNG_CANONICAL = re.compile(
 UNORDERED = re.compile(r"\bstd::unordered_(map|set|multimap|multiset)\b")
 
 Finding = tuple[Path, int, str, str]
+
+ALLOW = re.compile(r"lint:\s*allow\(([a-z-]+)\)")
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks out comments and string/char literals, preserving newlines so
+    line numbers survive. A lint: allow() marker is checked against the raw
+    line, so removing comments here is safe."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == "/" and nxt == "*":
+            i += 2
+            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
+                if text[i] == "\n":
+                    out.append("\n")
+                i += 1
+            i += 2
+        elif c in "\"'":
+            quote = c
+            i += 1
+            while i < n and text[i] != quote:
+                if text[i] == "\\":
+                    i += 1
+                elif text[i] == "\n":
+                    out.append("\n")
+                i += 1
+            i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
 
 
 def relpath(path: Path) -> str:
@@ -238,30 +284,67 @@ def check_hot_path_alloc(src: Source) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# policy-dispatch (textual; both engines)
+# textual rules (both engines)
 # --------------------------------------------------------------------------
 
-POLICY_DISPATCH = re.compile(
-    r"\bcase\s+(?:\w+\s*::\s*)*Recovery\w*\s*::"
-    r"|\bswitch\s*\([^)]*\bRecoveryMode\b"
-)
+LITERAL = r"(?:0[xX][0-9a-fA-F]+|\d+)"
+
+# rule -> patterns; any match on a stripped line is a finding.
+TEXT_RULES: dict[str, list[re.Pattern]] = {
+    # The semantic rng rule resolves declarations; these catch the calls and
+    # temporaries no declaration names (srand(1), std::random_device{}()).
+    "rng": [
+        re.compile(r"std::random_device"),
+        re.compile(r"(?<![\w:])s?rand\s*\("),
+        re.compile(
+            r"std::(mt19937(_64)?|minstd_rand0?|default_random_engine|"
+            r"ranlux\w+|knuth_b)\b"
+        ),
+    ],
+    "wallclock": [
+        re.compile(r"system_clock"),
+        re.compile(r"(?<![\w:])time\s*\(\s*(0|NULL|nullptr)?\s*\)"),
+        re.compile(r"\bgettimeofday\s*\("),
+        re.compile(r"\b(localtime|gmtime|ctime)\s*\("),
+        re.compile(r"CLOCK_REALTIME"),
+    ],
+    # std::thread::hardware_concurrency() and other static queries pass.
+    "raw-thread": [re.compile(r"std::thread\b(?!::)")],
+    "scheme-dispatch": [
+        re.compile(r"case\s+(streamcast::)?(core::)?Scheme::"),
+    ],
+    # A Prng born from a literal rather than a threaded seed parameter.
+    "overlay-seed": [
+        re.compile(r"Prng\s+\w+\s*[({]\s*" + LITERAL + r"\s*[)}]"),
+        re.compile(r"Prng\s*[({]\s*" + LITERAL + r"\s*[)}]"),
+        re.compile(r"\bprng_\s*[({]\s*" + LITERAL + r"\s*[)}]"),
+    ],
+}
+
+# src/ modules a rule skips: the scheme registry is the one place allowed
+# to switch over the Scheme enum.
+TEXT_RULE_EXEMPT = {"scheme-dispatch": {"scheme"}}
+
+# src/ modules a rule is confined to: the randomized-overlay schemes draw
+# every bit of randomness from SessionConfig::seed; elsewhere (tests,
+# benches) literal seeds are the point.
+TEXT_RULE_ONLY = {"overlay-seed": {"rrd", "dyntree"}}
 
 
-def check_policy_dispatch(src: Source) -> list[Finding]:
-    """Outside src/policy/, switching on a recovery strategy type re-inlines
-    the monolithic RecoveryMode dispatch the policy registry replaced — a
-    site every future strategy silently misses. Callers select behavior via
-    policy::recovery_policy(name) instead."""
-    if "src/policy/" in relpath(src.path).replace("\\", "/"):
-        return []
+def check_text_rules(src: Source) -> list[Finding]:
+    rel = src_relative(src.path)
+    module = rel.split("/", 1)[0] if rel is not None else None
+    rules = [
+        rule for rule in TEXT_RULES
+        if module not in TEXT_RULE_EXEMPT.get(rule, set())
+        and (rule not in TEXT_RULE_ONLY or module in TEXT_RULE_ONLY[rule])
+    ]
     findings: list[Finding] = []
     for lineno, line in enumerate(src.code_lines, start=1):
-        if not POLICY_DISPATCH.search(line):
-            continue
-        if src.allowed(lineno, "policy-dispatch"):
-            continue
-        findings.append(
-            (src.path, lineno, "policy-dispatch", src.snippet(lineno)))
+        for rule in rules:
+            if (any(p.search(line) for p in TEXT_RULES[rule])
+                    and not src.allowed(lineno, rule)):
+                findings.append((src.path, lineno, rule, src.snippet(lineno)))
     return findings
 
 
@@ -556,7 +639,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description="AST-grounded semantic lint + layer DAG check")
     parser.add_argument("roots", nargs="*", default=DEFAULT_DIRS,
-                        help="directories or files (default: src tests bench)")
+                        help="directories or files "
+                        "(default: src tests bench examples)")
     parser.add_argument("--layers", default=str(REPO / "tools/layers.toml"),
                         help="layer DAG declaration (TOML)")
     parser.add_argument("--engine", choices=["auto", "clang", "builtin"],
@@ -595,7 +679,7 @@ def main(argv: list[str]) -> int:
 
     for src in sources:
         findings.extend(check_hot_path_alloc(src))
-        findings.extend(check_policy_dispatch(src))
+        findings.extend(check_text_rules(src))
 
     if not args.no_layers:
         layers_path = Path(args.layers)
@@ -611,7 +695,8 @@ def main(argv: list[str]) -> int:
         for src in sources:
             findings.extend(check_layers(src, rank, overrides))
 
-    findings.sort(key=lambda f: (str(f[0]), f[1], f[2]))
+    # The semantic and textual halves of `rng` may both flag one line.
+    findings = sorted(set(findings), key=lambda f: (str(f[0]), f[1], f[2]))
     for path, lineno, rule, detail in findings:
         print(f"{relpath(path)}:{lineno}: [{rule}] {detail}")
 
